@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,18 +163,33 @@ def _fit_logreg(X, y_idx, feature_names, class_values, cfg: TrainConfig):
 
 
 # ---------------------------------------------------------------------------
-# CART decision tree
+# CART trees and random forests: one flat-array engine
+
+#: Most rows x trees that one descent of `predict_proba` holds at once; like
+#: explain._PREDICT_CHUNK, it bounds memory on large explanation batches.
+_PREDICT_CELLS = 1 << 16
+#: Most bootstrap rows that one level-synchronous growth holds at once; a
+#: forest whose trees x rows exceeds it grows in batches of trees.
+_GROW_SAMPLES = 1 << 13
 
 
-@dataclass
-class _TreeNodes:
-    """Flat array representation of a grown tree."""
+@dataclass(frozen=True)
+class _Trees:
+    """Every node of every tree of a model, in flat arrays.
 
-    feature: list = field(default_factory=list)  # -1 marks a leaf
-    threshold: list = field(default_factory=list)
-    left: list = field(default_factory=list)
-    right: list = field(default_factory=list)
-    dist: list = field(default_factory=list)  # class distribution per node
+    Tree t owns nodes start[t] .. start[t+1]-1 and its root is start[t].
+    Leaves have feature -1 and are their own children, so `depth` descent
+    steps end on a leaf from every root. `dist` holds each node's training
+    class distribution.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    dist: np.ndarray
+    start: np.ndarray
+    depth: int
 
 
 def _gini_from_counts(counts: np.ndarray, total) -> np.ndarray:
@@ -182,172 +197,213 @@ def _gini_from_counts(counts: np.ndarray, total) -> np.ndarray:
     return 1.0 - np.sum(p * p, axis=-1)
 
 
-def _best_split(X, y_idx, node_idx, candidates, k, min_leaf):
-    """Best (feature, threshold, weighted gini) over candidate features.
+def _best_splits(X, value_rank, srow, snode, sy, size, counts, cand, min_leaf):
+    """Best (feature, threshold) of every node of one level; feature -1 if none.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values; a split is valid only when both children keep at least
-    `min_leaf` rows. Ties resolve to the earliest candidate feature and the
-    lowest threshold, making growth deterministic.
+    Sample i is training row `srow[i]` of class `sy[i]` in level node
+    `snode[i]`; only nodes open for splitting have samples. `value_rank[f]`
+    holds the dense rank of each row's value of feature f, `counts` each node's
+    class counts and `cand[j]` node j's candidate features. Candidate
+    thresholds are midpoints between consecutive distinct sorted values; a
+    split is valid only when both children keep at least `min_leaf` rows.
+    Per candidate the lowest weighted Gini wins, ties to the lowest
+    threshold; a later candidate replaces an earlier one only when it is
+    lower by more than 1e-15. Growth is therefore deterministic.
     """
-    n = node_idx.size
-    labels = y_idx[node_idx]
-    best = None  # (gini, feature, threshold)
-    for f in candidates:
-        order = np.argsort(X[node_idx, f], kind="stable")
-        sv = X[node_idx[order], f]
-        sy = labels[order]
-        boundary = np.flatnonzero(sv[:-1] < sv[1:])  # split after position i
-        if boundary.size == 0:
+    L, k = counts.shape
+    best_g = np.full(L, np.inf)
+    best_f = np.full(L, -1)
+    best_t = np.zeros(L)
+    n_open = np.bincount(snode, minlength=L)
+    first = np.cumsum(n_open) - n_open  # each node's first sorted position
+    for slot in range(cand.shape[1]):
+        f = cand[snode, slot]
+        rank = value_rank[f, srow]
+        order = np.argsort(snode * value_rank.shape[1] + rank)  # by node, then value
+        sn, sr = snode[order], rank[order]
+        b = np.flatnonzero((sn[:-1] == sn[1:]) & (sr[:-1] < sr[1:]))  # split after b
+        node = sn[b]
+        left_n = b + 1 - first[node]
+        right_n = size[node] - left_n
+        ok = (left_n >= min_leaf) & (right_n >= min_leaf)
+        b, node, left_n, right_n = b[ok], node[ok], left_n[ok], right_n[ok]
+        if b.size == 0:
             continue
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), sy] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        left_counts = cum[boundary]
-        total = cum[-1]
-        right_counts = total - left_counts
-        left_n = boundary + 1
-        right_n = n - left_n
-        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
-            continue
+        sorted_y = sy[order]
+        cum = np.zeros((order.size + 1, k), dtype=np.int64)  # class counts before i
+        for c in range(k):
+            np.cumsum(sorted_y == c, out=cum[1:, c])
+        left_counts = cum[b + 1] - cum[first[node]]
+        right_counts = counts[node] - left_counts
         gini = (
             left_n * _gini_from_counts(left_counts, left_n[:, None])
             + right_n * _gini_from_counts(right_counts, right_n[:, None])
-        ) / n
-        gini = np.where(valid, gini, np.inf)
-        i = int(np.argmin(gini))
-        if best is None or gini[i] < best[0] - 1e-15:
-            thr = 0.5 * (sv[boundary[i]] + sv[boundary[i] + 1])
-            best = (float(gini[i]), int(f), float(thr))
-    return best
+        ) / size[node]
+        # first minimum of each node's run of boundaries
+        head = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+        low = np.minimum.reduceat(gini, head)
+        hit = np.flatnonzero(gini == np.repeat(low, np.diff(np.r_[head, gini.size])))
+        hit = hit[np.r_[True, node[hit[1:]] != node[hit[:-1]]]]
+        win = low < best_g[node[head]] - 1e-15
+        j, pos = node[head][win], b[hit][win]
+        best_g[j] = low[win]
+        best_f[j] = cand[j, slot]
+        lo, hi = srow[order[pos]], srow[order[pos + 1]]
+        best_t[j] = 0.5 * (X[lo, best_f[j]] + X[hi, best_f[j]])
+    return best_f, best_t
 
 
-def _grow_tree(X, y_idx, k, cfg: TrainConfig, candidates) -> _TreeNodes:
-    nodes = _TreeNodes()
+def _grow(X, y_idx, k, cfg: TrainConfig, rows, cand) -> _Trees:
+    """Grow tree t on training rows `rows[t]` with candidate features `cand[t]`.
 
-    def add_node():
-        nodes.feature.append(-1)
-        nodes.threshold.append(0.0)
-        nodes.left.append(-1)
-        nodes.right.append(-1)
-        nodes.dist.append(None)
-        return len(nodes.feature) - 1
+    All trees grow together, one level at a time. A node stays a leaf at
+    `max_depth`, below 2 * `min_leaf` rows, when pure, or when it has no
+    valid split; otherwise its rows at or below the threshold go left.
+    Each tree's nodes are numbered breadth-first.
+    """
+    T, n = rows.shape
+    # dense rank of every value, per feature: sorting ranks sorts the values
+    value_rank = np.array([np.unique(col, return_inverse=True)[1] for col in X.T])
+    srow = rows.ravel()
+    snode = np.repeat(np.arange(T), n)
+    tree = np.arange(T)  # tree of each node of the level
+    levels = []
+    base = 0
+    while tree.size:
+        L = tree.size
+        sy = y_idx[srow]
+        size = np.bincount(snode, minlength=L)
+        counts = np.bincount(snode * k + sy, minlength=L * k).reshape(L, k)
+        open_ = (len(levels) < cfg.max_depth) & (size >= 2 * cfg.min_leaf)
+        open_ &= counts.max(axis=1) != size
+        keep = open_[snode]
+        srow, snode, sy = srow[keep], snode[keep], sy[keep]
+        feat, thr = _best_splits(
+            X, value_rank, srow, snode, sy, size, counts, cand[tree], cfg.min_leaf
+        )
+        split = feat >= 0
+        nth = np.cumsum(split) - 1  # index among the level's split nodes
+        me = base + np.arange(L)
+        child = base + L + 2 * nth
+        levels.append((tree, feat, thr, np.where(split, child, me),
+                       np.where(split, child + 1, me), counts / size[:, None]))
+        keep = split[snode]
+        srow, snode = srow[keep], snode[keep]
+        snode = 2 * nth[snode] + ~(X[srow, feat[snode]] <= thr[snode])
+        tree = np.repeat(tree[split], 2)
+        base += L
+    tree, feature, threshold, left, right, dist = map(np.concatenate, zip(*levels))
+    order = np.argsort(tree, kind="stable")
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(order.size)
+    start = np.r_[0, np.cumsum(np.bincount(tree, minlength=T))]
+    return _Trees(feature[order], threshold[order], new_id[left[order]],
+                  new_id[right[order]], dist[order], start, len(levels) - 1)
 
-    def build(node_idx, depth):
-        me = add_node()
-        counts = np.bincount(y_idx[node_idx], minlength=k).astype(float)
-        nodes.dist[me] = counts / node_idx.size
-        pure = counts.max() == node_idx.size
-        if depth >= cfg.max_depth or node_idx.size < 2 * cfg.min_leaf or pure:
-            return me
-        best = _best_split(X, y_idx, node_idx, candidates, k, cfg.min_leaf)
-        if best is None:
-            return me
-        _, f, thr = best
-        mask = X[node_idx, f] <= thr
-        nodes.feature[me] = f
-        nodes.threshold[me] = thr
-        nodes.left[me] = build(node_idx[mask], depth + 1)
-        nodes.right[me] = build(node_idx[~mask], depth + 1)
-        return me
 
-    build(np.arange(X.shape[0]), 0)
-    return nodes
+def _concat(parts: list) -> _Trees:
+    """The trees of every part, in order, as one _Trees."""
+    offset = np.cumsum([0] + [p.feature.size for p in parts])
+    return _Trees(
+        np.concatenate([p.feature for p in parts]),
+        np.concatenate([p.threshold for p in parts]),
+        np.concatenate([p.left + o for p, o in zip(parts, offset)]),
+        np.concatenate([p.right + o for p, o in zip(parts, offset)]),
+        np.concatenate([p.dist for p in parts]),
+        np.concatenate([p.start[:-1] + o for p, o in zip(parts, offset)] + [offset[-1:]]),
+        max(p.depth for p in parts),
+    )
 
 
-def _tree_proba(nodes: _TreeNodes, X: np.ndarray, k: int) -> np.ndarray:
+def _trees_proba(trees: _Trees, X, k: int) -> np.ndarray:
+    """Mean leaf distribution over the trees, summed tree by tree."""
+    X = np.asarray(X, dtype=float)
+    T = trees.start.size - 1
     out = np.empty((X.shape[0], k))
-    stack = [(0, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        f = nodes.feature[node]
-        if f < 0:
-            out[idx] = nodes.dist[node]
-            continue
-        mask = X[idx, f] <= nodes.threshold[node]
-        stack.append((nodes.left[node], idx[mask]))
-        stack.append((nodes.right[node], idx[~mask]))
+    feature = np.maximum(trees.feature, 0)  # leaves read column 0 and stay put
+    child = np.stack([trees.left, trees.right], axis=1).ravel()
+    step = max(1, _PREDICT_CELLS // T)
+    for a in range(0, X.shape[0], step):
+        chunk = np.ascontiguousarray(X[a : a + step])
+        r, d = chunk.shape
+        cells = chunk.ravel()
+        row = np.arange(r) * d
+        node = np.repeat(trees.start[:-1, None], r, axis=1)  # (trees, rows)
+        for _ in range(trees.depth):
+            go_right = ~(cells[row + feature[node]] <= trees.threshold[node])
+            node = child[2 * node + go_right]
+        acc = np.zeros((r, k))
+        for t in range(T):
+            acc += trees.dist[node[t]]
+        out[a : a + step] = acc / T
     return out
 
 
-class DecisionTreeModel(Predictor):
-    """Greedy CART classifier split on Gini impurity."""
+def _tree_payloads(trees: _Trees) -> list:
+    """One version-1 entry per tree: breadth-first nodes, leaf children -1."""
+    out = []
+    for a, b in zip(trees.start[:-1], trees.start[1:]):
+        leaf = trees.feature[a:b] < 0
+        out.append({
+            "feature": trees.feature[a:b].tolist(),
+            "threshold": trees.threshold[a:b].tolist(),
+            "left": np.where(leaf, -1, trees.left[a:b] - a).tolist(),
+            "right": np.where(leaf, -1, trees.right[a:b] - a).tolist(),
+            "dist": trees.dist[a:b].tolist(),
+        })
+    return out
+
+
+class _TreeModel(Predictor):
+    """CART trees on the flat-array engine; predicts the mean leaf distribution."""
+
+    def __init__(self, feature_names, class_values, trees: _Trees):
+        super().__init__(feature_names, class_values)
+        self.trees = trees
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        return _trees_proba(self.trees, X, self.n_classes)
+
+
+class DecisionTreeModel(_TreeModel):
+    """Greedy CART classifier split on Gini impurity: a one-tree forest."""
 
     architecture = "dtree"
 
-    def __init__(self, feature_names, class_values, nodes: _TreeNodes):
-        super().__init__(feature_names, class_values)
-        self.nodes = nodes
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _tree_proba(self.nodes, np.asarray(X, dtype=float), self.n_classes)
-
     def _payload(self) -> dict:
-        return {
-            "feature": list(self.nodes.feature),
-            "threshold": [float(t) for t in self.nodes.threshold],
-            "left": list(self.nodes.left),
-            "right": list(self.nodes.right),
-            "dist": [[float(p) for p in d] for d in self.nodes.dist],
-        }
+        return _tree_payloads(self.trees)[0]
 
 
-def _fit_dtree(X, y_idx, feature_names, class_values, cfg: TrainConfig):
-    candidates = np.arange(X.shape[1])
-    nodes = _grow_tree(X, y_idx, class_values.size, cfg, candidates)
-    return DecisionTreeModel(feature_names, class_values, nodes)
-
-
-# ---------------------------------------------------------------------------
-# Random forest
-
-
-class RandomForestModel(Predictor):
+class RandomForestModel(_TreeModel):
     """Bagged CART trees with per-tree feature subsampling; mean-probability vote."""
 
     architecture = "rforest"
 
-    def __init__(self, feature_names, class_values, trees):
-        super().__init__(feature_names, class_values)
-        self.trees = trees  # list of _TreeNodes
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        acc = np.zeros((X.shape[0], self.n_classes))
-        for nodes in self.trees:
-            acc += _tree_proba(nodes, X, self.n_classes)
-        return acc / len(self.trees)
-
     def _payload(self) -> dict:
-        return {
-            "trees": [
-                {
-                    "feature": list(t.feature),
-                    "threshold": [float(x) for x in t.threshold],
-                    "left": list(t.left),
-                    "right": list(t.right),
-                    "dist": [[float(p) for p in d] for d in t.dist],
-                }
-                for t in self.trees
-            ]
-        }
+        return {"trees": _tree_payloads(self.trees)}
 
 
-def _fit_rforest(X, y_idx, feature_names, class_values, cfg: TrainConfig):
+def _fit_trees(X, y_idx, feature_names, class_values, cfg: TrainConfig):
+    """Grow a model's trees; a dtree is one tree on every row and every feature."""
     n, d = X.shape
-    m = cfg.n_features if cfg.n_features is not None else max(1, round(math.sqrt(d)))
-    if not 1 <= m <= d:
-        raise ConfigError(f"n_features must lie in [1, {d}], got {m}")
-    trees = []
-    for t in range(cfg.n_trees):
-        rng = np.random.default_rng(derive_seed(cfg.seed, "tree", t))
-        rows = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-        candidates = np.sort(rng.choice(d, size=m, replace=False))
-        trees.append(_grow_tree(X[rows], y_idx[rows], class_values.size, cfg, candidates))
-    return RandomForestModel(feature_names, class_values, trees)
+    if cfg.architecture == "dtree":
+        model, rows, cand = DecisionTreeModel, np.arange(n)[None], np.arange(d)[None]
+    else:
+        m = cfg.n_features if cfg.n_features is not None else max(1, round(math.sqrt(d)))
+        if not 1 <= m <= d:
+            raise ConfigError(f"n_features must lie in [1, {d}], got {m}")
+        rows, cand = [], []
+        for t in range(cfg.n_trees):
+            rng = np.random.default_rng(derive_seed(cfg.seed, "tree", t))
+            rows.append(rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n))
+            cand.append(np.sort(rng.choice(d, size=m, replace=False)))
+        model, rows, cand = RandomForestModel, np.array(rows), np.array(cand)
+    per = max(1, _GROW_SAMPLES // n)
+    trees = _concat([
+        _grow(X, y_idx, class_values.size, cfg, rows[a : a + per], cand[a : a + per])
+        for a in range(0, rows.shape[0], per)
+    ])
+    return model(feature_names, class_values, trees)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +430,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Predictor:
     """Train one model per `cfg.architecture` on an encoded, complete dataset."""
     cfg.validate()
     X, y_idx, class_values = _training_arrays(dataset)
-    fit = {"logreg": _fit_logreg, "dtree": _fit_dtree, "rforest": _fit_rforest}[
-        cfg.architecture
-    ]
+    fit = _fit_logreg if cfg.architecture == "logreg" else _fit_trees
     return fit(X, y_idx, dataset.feature_names, class_values, cfg)
 
 
@@ -403,31 +457,102 @@ def save_model(m: Predictor, path: str) -> None:
         fh.write("\n")
 
 
-def _nodes_from_payload(p) -> _TreeNodes:
-    return _TreeNodes(
-        feature=list(p["feature"]),
-        threshold=[float(t) for t in p["threshold"]],
-        left=list(p["left"]),
-        right=list(p["right"]),
-        dist=[np.asarray(d, dtype=float) for d in p["dist"]],
+def _field(mapping, key: str, where: str):
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise DataError(f"model file: {where} lacks {key!r}")
+    return mapping[key]
+
+
+def _array(value, dtype, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise DataError(f"model file: {what} is not a numeric array") from None
+
+
+def _tree_from_payload(p, n_features: int, k: int, where: str) -> _Trees:
+    """One version-1 tree entry as a one-tree _Trees.
+
+    Raises DataError unless the lists have one equal, non-zero length,
+    internal nodes name a valid feature and valid children, `dist` rows hold
+    `k` entries, and a walk from node 0 reaches every node exactly once,
+    which rules out cycles and shared children. Leaves become their own
+    children.
+    """
+    keys = ("feature", "threshold", "left", "right", "dist")
+    cols = [_field(p, key, where) for key in keys]
+    if not all(isinstance(c, list) for c in cols) or len({len(c) for c in cols}) != 1:
+        raise DataError(f"model file: {where} needs node lists of equal length")
+    if not cols[0]:
+        raise DataError(f"model file: {where} has no nodes")
+    feature, left, right = (
+        _array(p[key], np.int64, f"{where} {key}") for key in ("feature", "left", "right")
     )
+    threshold = _array(p["threshold"], float, f"{where} threshold")
+    dist = _array(p["dist"], float, f"{where} dist")
+    n = feature.size
+    if any(a.shape != (n,) for a in (feature, threshold, left, right)):
+        raise DataError(f"model file: {where} node lists must be flat")
+    if dist.shape != (n, k):
+        raise DataError(f"model file: every {where} dist row needs {k} entries")
+    inner = feature >= 0
+    if (feature[inner] >= n_features).any():
+        raise DataError(f"model file: {where} splits on a feature >= {n_features}")
+    kids = np.concatenate([left[inner], right[inner]])
+    if ((kids < 0) | (kids >= n)).any():
+        raise DataError(f"model file: {where} has a child index outside [0, {n})")
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    level, depth = np.zeros(1, dtype=np.int64), 0
+    while True:
+        level = level[inner[level]]
+        if level.size == 0:
+            break
+        level = np.concatenate([left[level], right[level]])
+        if reached[level].any() or np.unique(level).size != level.size:
+            raise DataError(f"model file: {where} reaches a node twice")
+        reached[level] = True
+        depth += 1
+    if not reached.all():
+        raise DataError(f"model file: {where} has a node its root does not reach")
+    me = np.arange(n)
+    return _Trees(np.where(inner, feature, -1), threshold, np.where(inner, left, me),
+                  np.where(inner, right, me), dist, np.array([0, n]), depth)
+
+
+def _trees_from_payload(entries, n_features: int, k: int) -> _Trees:
+    if not isinstance(entries, list) or not entries:
+        raise DataError("model file: a forest needs a non-empty list of trees")
+    return _concat([
+        _tree_from_payload(p, n_features, k, f"tree {t}") for t, p in enumerate(entries)
+    ])
 
 
 def model_from_payload(payload: dict) -> Predictor:
-    if payload.get("format") != MODEL_FORMAT:
+    """The model a `to_payload` dict describes; DataError on any malformed field."""
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise DataError("not a model file")
     if payload.get("version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model version {payload.get('version')!r}")
-    arch = payload["architecture"]
-    names = payload["feature_names"]
-    classes = payload["class_values"]
-    params = payload["params"]
+    arch = _field(payload, "architecture", "the model")
+    names = _field(payload, "feature_names", "the model")
+    if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+        raise DataError("model file: feature_names must be a list of strings")
+    classes = _array(_field(payload, "class_values", "the model"), float, "class_values")
+    if classes.ndim != 1:
+        raise DataError("model file: class_values must be a flat list")
+    params = _field(payload, "params", "the model")
+    d, k = len(names), classes.size
     if arch == "logreg":
-        return LogisticRegressionModel(names, classes, params["weights"], params["bias"])
+        weights = _array(_field(params, "weights", "params"), float, "weights")
+        bias = _array(_field(params, "bias", "params"), float, "bias")
+        if weights.shape != (d, k) or bias.shape != (k,):
+            raise DataError(f"model file: logreg needs {d}x{k} weights and {k} biases")
+        return LogisticRegressionModel(names, classes, weights, bias)
     if arch == "dtree":
-        return DecisionTreeModel(names, classes, _nodes_from_payload(params))
+        return DecisionTreeModel(names, classes, _trees_from_payload([params], d, k))
     if arch == "rforest":
-        trees = [_nodes_from_payload(t) for t in params["trees"]]
+        trees = _trees_from_payload(_field(params, "trees", "params"), d, k)
         return RandomForestModel(names, classes, trees)
     raise DataError(f"unknown architecture {arch!r} in model file")
 

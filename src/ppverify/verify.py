@@ -132,7 +132,11 @@ def build_responses(
             expl = lime_explain(m, x, qcfg, background)
         else:
             expl = shap_explain(m, x, qcfg)
-        yhat = float(m.predict(x))
+        # the explainer already predicted x unless told which class to explain
+        if explainer_cfg.explained_class is None:
+            yhat = float(expl.explained_class)
+        else:
+            yhat = float(m.predict(x))
         vec = np.concatenate([expl.attributions, [expl.intercept_or_base, yhat]])
         out.append(ResponseVector(vec, q, model_tag))
     return out

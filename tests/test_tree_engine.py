@@ -1,0 +1,226 @@
+"""The flat-array tree engine against the recursive reference, and the
+validation of tree payloads at the model-file boundary."""
+
+import copy
+import json
+import time
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import tree_reference as ref
+from conftest import build_dataset
+from ppverify import models
+from ppverify.cli import main
+from ppverify.errors import DataError
+from ppverify.models import (
+    TrainConfig,
+    load_model,
+    model_from_payload,
+    save_model,
+    train,
+)
+
+
+@st.composite
+def tree_problems(draw):
+    """A small table with heavy ties and duplicated rows, plus a tree config."""
+    n = draw(st.integers(4, 40))
+    d = draw(st.integers(1, 4))
+    k = draw(st.sampled_from([2, 3]))
+    step = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    X = np.array(draw(st.lists(st.integers(0, 4), min_size=n * d, max_size=n * d)),
+                 dtype=float).reshape(n, d) * step
+    y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    copies = draw(st.integers(0, n // 2))
+    X[n - copies:], y[n - copies:] = X[:copies], y[:copies]  # duplicated rows
+    y[:k] = np.arange(k)  # every class occurs
+    cfg = TrainConfig(
+        architecture=draw(st.sampled_from(["dtree", "rforest"])),
+        seed=draw(st.integers(0, 2**16)),
+        max_depth=draw(st.integers(1, 7)),
+        min_leaf=draw(st.integers(1, 5)),
+        n_trees=draw(st.integers(1, 6)),
+        n_features=draw(st.one_of(st.none(), st.integers(1, d))),
+        bootstrap=draw(st.booleans()),
+    )
+    return X, y, k, cfg
+
+
+def reference_proba(X, y, k, cfg, Q):
+    if cfg.architecture == "dtree":
+        return ref.dtree_proba(ref.fit_dtree(X, y, k, cfg), Q, k)
+    return ref.rforest_proba(ref.fit_rforest(X, y, k, cfg), Q, k)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=tree_problems(), probe_seed=st.integers(0, 2**16))
+def test_engine_predictions_equal_the_reference_bit_for_bit(problem, probe_seed):
+    X, y, k, cfg = problem
+    model = train(build_dataset(np.column_stack([X, y])), cfg)
+    probes = np.random.default_rng(probe_seed).integers(-1, 11, size=(30, X.shape[1])) / 2.0
+    Q = np.vstack([X, probes])
+    assert np.array_equal(model.predict_proba(Q), reference_proba(X, y, k, cfg, Q))
+
+
+def seed_payload(arch, trees, d, k):
+    """A version-1 model file as the recursive writer laid it out."""
+    params = trees[0].payload() if arch == "dtree" else {"trees": [t.payload() for t in trees]}
+    return {
+        "format": models.MODEL_FORMAT,
+        "version": 1,
+        "architecture": arch,
+        "feature_names": [f"f{j}" for j in range(d)],
+        "class_values": [float(c) for c in range(k)],
+        "params": params,
+    }
+
+
+@pytest.mark.parametrize("arch", ["dtree", "rforest"])
+def test_depth_first_v1_files_load_and_predict_identically(tmp_path, arch):
+    rng = np.random.default_rng(4)
+    X = np.round(rng.normal(size=(150, 3)), 1)
+    y = (X[:, 0] + 0.5 * X[:, 1] > rng.normal(scale=0.5, size=150)).astype(int)
+    y[rng.random(150) < 0.2] = 2
+    cfg = TrainConfig(architecture=arch, seed=3, n_trees=7, max_depth=6, min_leaf=2)
+    trees = ref.fit_dtree(X, y, 3, cfg) if arch == "dtree" else ref.fit_rforest(X, y, 3, cfg)
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(seed_payload(arch, trees, 3, 3)))
+    Q = np.vstack([X, rng.normal(size=(40, 3))])
+    want = (ref.dtree_proba if arch == "dtree" else ref.rforest_proba)(trees, Q, 3)
+    loaded = load_model(str(path))
+    assert np.array_equal(loaded.predict_proba(Q), want)
+    # the engine writes breadth-first; that file predicts the same again
+    again = tmp_path / "again.json"
+    save_model(loaded, str(again))
+    assert np.array_equal(load_model(str(again)).predict_proba(Q), want)
+
+
+def test_predict_past_the_chunk_bound_equals_smaller_calls():
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(120, 3))
+    d = build_dataset(np.column_stack([X, X[:, 0] > 0]))
+    model = train(d, TrainConfig(architecture="rforest", seed=1, n_trees=8))
+    rows = 2 * (models._PREDICT_CELLS // 8) + 5
+    Q = rng.normal(size=(rows, 3))
+    parts = [model.predict_proba(Q[a : a + 1000]) for a in range(0, rows, 1000)]
+    assert np.array_equal(model.predict_proba(Q), np.concatenate(parts))
+
+
+@pytest.mark.parametrize("samples", [1, 100, 250])
+def test_forest_grown_in_batches_of_trees_equals_the_reference(monkeypatch, samples):
+    rng = np.random.default_rng(5)
+    X = np.round(rng.normal(size=(60, 4)), 1)
+    y = (X[:, 0] - X[:, 2] > rng.normal(scale=0.7, size=60)).astype(int)
+    cfg = TrainConfig(architecture="rforest", seed=9, n_trees=9, max_depth=5, min_leaf=2)
+    monkeypatch.setattr(models, "_GROW_SAMPLES", samples)  # 1, 1 and 4 trees per batch
+    model = train(build_dataset(np.column_stack([X, y])), cfg)
+    assert model.trees.start.size == cfg.n_trees + 1
+    assert np.array_equal(model.predict_proba(X), reference_proba(X, y, 2, cfg, X))
+
+
+def test_breadth_first_payload_layout():
+    d = build_dataset([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0], [4.0, 0.0]])
+    model = train(d, TrainConfig(architecture="dtree", seed=0, min_leaf=1))
+    params = model.to_payload()["params"]
+    # root, its two children, then the right child's two children
+    assert params["feature"] == [0, -1, 0, -1, -1]
+    assert params["left"] == [1, -1, 3, -1, -1]
+    assert params["right"] == [2, -1, 4, -1, -1]
+
+
+# ---------------------------------------------------------------------------
+# Malformed model files
+
+
+def dtree_payload():
+    d = build_dataset([[0.0, 5.0, 0.0], [1.0, 4.0, 0.0], [2.0, 3.0, 1.0], [3.0, 2.0, 1.0],
+                       [4.0, 1.0, 0.0], [5.0, 0.0, 0.0]])
+    model = train(d, TrainConfig(architecture="dtree", seed=0, min_leaf=1))
+    payload = model.to_payload()
+    assert len(payload["params"]["feature"]) >= 5
+    return payload
+
+
+def broken(edit):
+    payload = copy.deepcopy(dtree_payload())
+    edit(payload, payload["params"])
+    return payload
+
+
+def _cycle(payload, p):
+    p["left"][2] = 0  # an internal node points back at the root
+
+
+def _shared_child(payload, p):
+    p["right"][0] = p["left"][0]
+
+
+def _orphan(payload, p):
+    for key in ("feature", "threshold", "left", "right", "dist"):
+        p[key].append(copy.deepcopy(p[key][-1]))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda payload, p: p["threshold"].pop(), "equal length",
+                     id="unequal-lengths"),
+        pytest.param(lambda payload, p: p["left"].__setitem__(0, 99), "child index outside",
+                     id="child-out-of-range"),
+        pytest.param(lambda payload, p: p["right"].__setitem__(0, -3), "child index outside",
+                     id="negative-child"),
+        pytest.param(_cycle, "reaches a node twice", id="cycle"),
+        pytest.param(_shared_child, "reaches a node twice", id="shared-child"),
+        pytest.param(_orphan, "does not reach", id="unreached-node"),
+        pytest.param(lambda payload, p: p["feature"].__setitem__(0, 2), "feature >= 2",
+                     id="feature-out-of-range"),
+        pytest.param(lambda payload, p: [row.append(0.0) for row in p["dist"]],
+                     "dist row needs 2 entries", id="dist-row-length"),
+        pytest.param(lambda payload, p: p["dist"][1].append(0.0), "dist is not a numeric array",
+                     id="ragged-dist"),
+        pytest.param(lambda payload, p: p.pop("dist"), "lacks 'dist'", id="missing-dist"),
+        pytest.param(lambda payload, p: payload.pop("params"), "lacks 'params'",
+                     id="missing-params"),
+        pytest.param(lambda payload, p: payload.pop("architecture"), "lacks 'architecture'",
+                     id="missing-architecture"),
+        pytest.param(lambda payload, p: p["feature"].__setitem__(0, "x"),
+                     "feature is not a numeric array", id="non-numeric"),
+        pytest.param(lambda payload, p: [p[key].clear() for key in p], "no nodes",
+                     id="no-nodes"),
+    ],
+)
+def test_malformed_tree_payloads_raise_data_error(edit, message):
+    payload = broken(edit)
+    start = time.perf_counter()
+    with pytest.raises(DataError, match=message):
+        model_from_payload(payload)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_malformed_forest_and_logreg_payloads_raise_data_error():
+    forest = {**dtree_payload(), "architecture": "rforest"}
+    forest["params"] = {"trees": [forest["params"], broken(_cycle)["params"]]}
+    with pytest.raises(DataError, match="tree 1"):
+        model_from_payload(forest)
+    with pytest.raises(DataError):
+        model_from_payload({**forest, "params": {"trees": []}})
+    logreg = {**dtree_payload(), "architecture": "logreg",
+              "params": {"weights": [[1.0, 0.0]], "bias": [0.0, 0.0]}}
+    with pytest.raises(DataError):  # two features need two weight rows
+        model_from_payload(logreg)
+    with pytest.raises(DataError):
+        model_from_payload([1, 2, 3])
+
+
+def test_respond_on_a_cyclic_model_file_exits_3(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(broken(_cycle)))
+    queries = tmp_path / "q.csv"
+    queries.write_text("f0,f1,label\n1.0,2.0,0\n3.0,1.0,1\n")
+    code = main(["respond", "--model", str(model), "--queries", str(queries),
+                 "--output", str(tmp_path / "r.csv")])
+    assert code == 3
+    assert "reaches a node twice" in capsys.readouterr().err

@@ -83,6 +83,34 @@ def test_build_responses_yhat_is_class_index(rng):
     assert out[1].vector[-1] == 0.0
 
 
+class CountingModel(LinearProbModel):
+    """Counts `predict` calls."""
+
+    calls = 0
+
+    def predict(self, x):
+        self.calls += 1
+        return super().predict(x)
+
+
+@pytest.mark.parametrize("override", [None, 1])
+@pytest.mark.parametrize("explainer", ["lime", "shap"])
+def test_build_responses_yhat_is_the_prediction_with_or_without_override(explainer, override):
+    model = CountingModel([1.0, -0.5], intercept=0.2)
+    queries = build_dataset([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [-0.5, 0.3, 0.0]])
+    if explainer == "lime":
+        cfg = LimeConfig(num_samples=100, seed=3, explained_class=override)
+    else:
+        cfg = ShapConfig(background=queries, coalition_budget=EXACT, seed=3,
+                         explained_class=override)
+    out = build_responses(model, queries, cfg, background=queries)
+    # one predict per query: by the explainer, or for yhat when the class is fixed
+    assert model.calls == len(out)
+    X = queries.feature_matrix()
+    assert [rv.vector[-1] for rv in out] == [float(model.predict(x)) for x in X]
+    assert {model.predict(x) for x in X} == {0, 1}  # the override differs for some rows
+
+
 def test_build_responses_rejects_missing_query_cells():
     model = LinearProbModel([0.1, 0.1])
     queries = build_dataset([[np.nan, 0.0, 1.0]])
