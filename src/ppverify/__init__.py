@@ -65,6 +65,7 @@ from .tabular import (
 )
 from .verify import (
     LabeledResponseSet,
+    MLVerifier,
     ResponseVector,
     ThresholdModel,
     Verdict,
@@ -73,8 +74,10 @@ from .verify import (
     cosine_distance,
     fit_ml_verifier,
     fit_threshold_verifier,
+    load_verifier,
     responses_from_csv,
     responses_to_csv,
+    save_verifier,
 )
 
 __version__ = "0.1.0"
@@ -95,6 +98,7 @@ __all__ = [
     "LabeledResponseSet",
     "LaplaceParams",
     "LimeConfig",
+    "MLVerifier",
     "PPVerifyError",
     "Pipeline",
     "PipelineLabel",
@@ -126,6 +130,7 @@ __all__ = [
     "lime_explain",
     "load_csv",
     "load_model",
+    "load_verifier",
     "logreg_loss_grad",
     "make_synthetic",
     "mia_power",
@@ -138,6 +143,7 @@ __all__ = [
     "run_experiment",
     "sample_rows",
     "save_model",
+    "save_verifier",
     "schema_fingerprint",
     "shap_explain",
     "snap",

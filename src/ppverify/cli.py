@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .errors import ConfigError, DataError, PPVerifyError
+from .errors import ConfigError, DataError, PPVerifyError, read_json
 from .experiment import ExperimentConfig, emit_report, run_experiment
 from .explain import EXACT, LimeConfig, ShapConfig
 from .ldp import PrivacyBudget, privatize
@@ -30,19 +30,16 @@ from .tabular import (
 )
 from .verify import (
     LabeledResponseSet,
+    bare_label,
     build_responses,
     classify,
     fit_ml_verifier,
     fit_threshold_verifier,
+    load_verifier,
     responses_from_csv,
     responses_to_csv,
-    threshold_from_payload,
-    threshold_to_payload,
+    save_verifier,
 )
-from .models import model_from_payload
-from .preprocess import PipelineLabel
-
-VERIFIER_FORMAT = "ppverify-verifier"
 
 
 def _load_dataset(path, schema_path=None):
@@ -136,8 +133,7 @@ def cmd_train(args) -> int:
     d = _load_dataset(args.input, args.schema)
     overrides = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            overrides = json.load(fh)
+        overrides = read_json(args.config, ConfigError)
         if not isinstance(overrides, dict):
             raise ConfigError("--config must hold a JSON object of hyperparameters")
         known = {f.name for f in dataclasses.fields(TrainConfig)}
@@ -148,17 +144,6 @@ def cmd_train(args) -> int:
     model = train(d, cfg)
     save_model(model, args.output)
     print(f"trained {args.arch} on {d.n_rows} rows -> {args.output}")
-    return 0
-
-
-def cmd_explain(args) -> int:
-    model = load_model(args.model)
-    queries = _load_dataset(args.input, args.schema)
-    background = _load_dataset(args.background, args.schema) if args.background else queries
-    cfg = _explainer_from_args(args, background)
-    responses = build_responses(model, queries, cfg, background=background)
-    responses_to_csv(responses, queries.feature_names, args.output, include_yhat=False)
-    print(f"wrote {len(responses)} explanations to {args.output}")
     return 0
 
 
@@ -185,59 +170,26 @@ def _parse_labeled_responses(specs):
             raise ConfigError(f"--responses class id must be an integer, got {cls_text!r}") from None
         if cls < 0:
             raise ConfigError("--responses class id must be non-negative")
-        label = PipelineLabel(cls, cls == 0, () if cls == 0 else None)
-        items.append((label, responses_from_csv(path, model_tag=path)))
+        items.append((bare_label(cls), responses_from_csv(path, model_tag=path)))
     return items
 
 
 def cmd_fit_verifier(args) -> int:
     labeled = LabeledResponseSet.from_models(_parse_labeled_responses(args.responses), args.task)
     if args.method == "ml":
-        cfg = TrainConfig(architecture=args.arch, seed=args.seed)
-        model = fit_ml_verifier(labeled, cfg)
-        payload = {
-            "format": VERIFIER_FORMAT,
-            "version": 1,
-            "method": "ml",
-            "task": args.task,
-            "payload": model.to_payload(),
-        }
+        verifier = fit_ml_verifier(labeled, TrainConfig(architecture=args.arch, seed=args.seed))
     else:
         if not args.reference:
             raise ConfigError("--reference is required for the threshold method")
         reference = responses_from_csv(args.reference, model_tag="reference")
-        t = fit_threshold_verifier(reference, labeled, args.granularity)
-        payload = {
-            "format": VERIFIER_FORMAT,
-            "version": 1,
-            "method": "threshold",
-            "task": args.task,
-            "payload": threshold_to_payload(t),
-        }
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        verifier = fit_threshold_verifier(reference, labeled, args.granularity)
+    save_verifier(verifier, args.output)
     print(f"fitted {args.method} verifier -> {args.output}")
     return 0
 
 
-def _load_verifier(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc})") from None
-    if payload.get("format") != VERIFIER_FORMAT:
-        raise DataError(f"{path}: not a verifier file")
-    if payload["method"] == "ml":
-        model = model_from_payload(payload["payload"])
-        model.verifier_task = payload.get("task", "binary")
-        return model
-    return threshold_from_payload(payload["payload"])
-
-
 def cmd_verify(args) -> int:
-    verifier = _load_verifier(args.verifier)
+    verifier = load_verifier(args.verifier)
     target = responses_from_csv(args.target, model_tag="target")
     reference = (
         responses_from_csv(args.reference, model_tag="reference") if args.reference else None
@@ -279,12 +231,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: not valid JSON ({exc})") from None
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg = ExperimentConfig.from_dict(read_json(args.config, ConfigError))
     env_seed = os.environ.get("PPV_SEED")
     if env_seed is not None:
         try:
@@ -352,23 +299,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema")
     p.set_defaults(func=cmd_train)
 
-    for name, func, with_yhat in (("explain", cmd_explain, False), ("respond", cmd_respond, True)):
-        p = sub.add_parser(
-            name,
-            help="explain queries" if name == "explain" else "build response vectors",
-        )
-        p.add_argument("--model", required=True)
-        p.add_argument("--input" if name == "explain" else "--queries", required=True)
-        p.add_argument("--explainer", choices=("lime", "shap"), default="lime")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", required=True)
-        p.add_argument("--background", help="background CSV (defaults to the query file)")
-        p.add_argument("--num-samples", type=int, default=2000)
-        p.add_argument("--kernel-width", type=float, default=None)
-        p.add_argument("--ridge", type=float, default=1e-3)
-        p.add_argument("--budget", default="2048", help="shap coalition budget or 'exact'")
-        p.add_argument("--schema")
-        p.set_defaults(func=func)
+    p = sub.add_parser("respond", help="build response vectors")
+    p.add_argument("--model", required=True)
+    p.add_argument("--queries", required=True)
+    p.add_argument("--explainer", choices=("lime", "shap"), default="lime")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output", required=True)
+    p.add_argument("--background", help="background CSV (defaults to the query file)")
+    p.add_argument("--num-samples", type=int, default=2000)
+    p.add_argument("--kernel-width", type=float, default=None)
+    p.add_argument("--ridge", type=float, default=1e-3)
+    p.add_argument("--budget", default="2048", help="shap coalition budget or 'exact'")
+    p.add_argument("--schema")
+    p.set_defaults(func=cmd_respond)
 
     p = sub.add_parser("fit-verifier", help="fit a verifier on labeled responses")
     p.add_argument("--method", choices=("ml", "threshold"), required=True)

@@ -181,10 +181,6 @@ def _eps_text(eps: float) -> str:
     return "inf" if math.isinf(float(eps)) else repr(float(eps))
 
 
-def _model_cfg(cfg: ExperimentConfig, arch: str, seed: int) -> TrainConfig:
-    return TrainConfig(architecture=arch, seed=seed)
-
-
 def _explainer_cfg(cfg: ExperimentConfig, background: Dataset, seed: int):
     if cfg.explainer == "lime":
         return LimeConfig(
@@ -205,22 +201,24 @@ def _load_source(cfg: ExperimentConfig) -> Dataset | None:
     return load_csv(cfg.csv_path, schema=schema)
 
 
-def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, seed_stage, trial, tag, eps_index=None):
+def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, eps_index=None):
     """Train one model per pipeline and collect its query responses.
 
     Pipeline and training seeds are stage-specific (the two parties do not
     share randomness), but the explainer seed depends only on the trial: the
     probing side explains every model under the same perturbation draws, so
-    identical models produce identical responses.
+    identical models produce identical responses. `stage` also prefixes the
+    model tags.
     """
     out = {}
     explain_seed = derive_seed(cfg.master_seed, "explain", trial)
     for k, (pipe, label) in enumerate(pipelines):
-        parts = [cfg.master_seed, seed_stage, trial, k]
+        parts = [cfg.master_seed, stage, trial, k]
         if eps_index is not None:
             parts.insert(3, eps_index)
         tr, te, _ = apply_pipeline(data, queries, pipe, derive_seed(*parts, "pipe"))
-        model = train(tr, _model_cfg(cfg, cfg.architecture, derive_seed(*parts, "train")))
+        train_cfg = TrainConfig(architecture=cfg.architecture, seed=derive_seed(*parts, "train"))
+        model = train(tr, train_cfg)
         background = te.take(bg_idx)
         e_cfg = _explainer_cfg(cfg, background, explain_seed)
         out[label.class_id] = build_responses(
@@ -228,9 +226,28 @@ def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, seed_stage, trial
             te,
             e_cfg,
             background=background,
-            model_tag=f"{tag}-{label.class_id}",
+            model_tag=f"{stage}-{label.class_id}",
         )
     return out
+
+
+def _attack_groups(cfg: ExperimentConfig, train_d: Dataset, test_d: Dataset, trial: int):
+    """The trial's case group, drawn from the owner's data, and its control
+    group, drawn from test rows that are not members."""
+    case_n = min(cfg.attack_group_size, train_d.n_rows)
+    case = sample_rows(train_d, case_n, derive_seed(cfg.master_seed, "attack-case", trial))
+    # Duplicated rows can straddle the split; a test row whose exact copy
+    # sits in the owner's data is a member, so the control pool excludes those.
+    member_keys = {train_d.values[i].tobytes() for i in range(train_d.n_rows)}
+    pool = [i for i in range(test_d.n_rows) if test_d.values[i].tobytes() not in member_keys]
+    if not pool:
+        raise DataError("no non-member rows available for the control group")
+    control_pool = test_d.take(pool)
+    control_n = min(cfg.attack_group_size, control_pool.n_rows)
+    control = sample_rows(
+        control_pool, control_n, derive_seed(cfg.master_seed, "attack-control", trial)
+    )
+    return case, control
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -274,11 +291,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         target_error = None
         try:
             target_responses = _pipeline_responses(
-                cfg, train_d, queries, pipelines, bg_idx, "target", trial, "target"
+                cfg, train_d, queries, pipelines, bg_idx, "target", trial
             )
         except PPVerifyError as exc:
             target_error = f"error: {exc}"
         t = clock("target_models", t)
+
+        groups, groups_error = None, None
+        if cfg.attack:
+            try:
+                groups = _attack_groups(cfg, train_d, test_d, trial)
+            except PPVerifyError as exc:
+                groups_error = f"error: {exc}"
+            t = clock("attack", t)
 
         for ei, eps in enumerate(cfg.epsilon_grid):
             t = time.perf_counter()
@@ -299,7 +324,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 try:
                     verifier_responses = _pipeline_responses(
                         cfg, released, queries, pipelines, bg_idx,
-                        "verifier", trial, "verifier", eps_index=ei,
+                        "verifier", trial, eps_index=ei,
                     )
                     labeled = LabeledResponseSet.from_models(
                         [(label, verifier_responses[label.class_id]) for _, label in pipelines],
@@ -342,44 +367,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
             if cfg.attack:
                 t = time.perf_counter()
-                if released is None:
-                    attack_rows.append(
-                        AttackRow(float(eps), trial, float("nan"), float("nan"), release_error)
-                    )
-                else:
+                error = release_error if released is None else groups_error
+                if error is None:
                     try:
-                        case_n = min(cfg.attack_group_size, train_d.n_rows)
-                        case = sample_rows(
-                            train_d, case_n, derive_seed(cfg.master_seed, "attack-case", trial)
-                        )
-                        # Duplicated rows can straddle the split; a test row
-                        # whose exact copy sits in the owner's data is a
-                        # member, so the control pool excludes those.
-                        member_keys = {train_d.values[i].tobytes() for i in range(train_d.n_rows)}
-                        pool = [
-                            i
-                            for i in range(test_d.n_rows)
-                            if test_d.values[i].tobytes() not in member_keys
-                        ]
-                        if not pool:
-                            raise DataError("no non-member rows available for the control group")
-                        control_pool = test_d.take(pool)
-                        control_n = min(cfg.attack_group_size, control_pool.n_rows)
-                        control = sample_rows(
-                            control_pool,
-                            control_n,
-                            derive_seed(cfg.master_seed, "attack-control", trial),
-                        )
-                        result = mia_power(
-                            released, AttackConfig(case, control, cfg.attack_fpr)
-                        )
+                        result = mia_power(released, AttackConfig(*groups, cfg.attack_fpr))
                         attack_rows.append(
                             AttackRow(float(eps), trial, result.power, result.gamma)
                         )
                     except PPVerifyError as exc:
-                        attack_rows.append(
-                            AttackRow(float(eps), trial, float("nan"), float("nan"), f"error: {exc}")
-                        )
+                        error = f"error: {exc}"
+                if error is not None:
+                    attack_rows.append(
+                        AttackRow(float(eps), trial, float("nan"), float("nan"), error)
+                    )
                 t = clock("attack", t)
 
     runtime = {

@@ -87,15 +87,19 @@ def laplace_sample(scale: float, rng: np.random.Generator) -> float:
     return float(_laplace_noise(scale, 1, rng)[0])
 
 
+def snap_to_nearest(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Move each value to the nearest entry of the sorted `grid`, ties toward
+    the smaller entry."""
+    pos = np.searchsorted(grid, values)
+    lo = grid[np.clip(pos - 1, 0, grid.size - 1)]
+    hi = grid[np.clip(pos, 0, grid.size - 1)]
+    return np.where(values - lo <= hi - values, lo, hi)
+
+
 def _snap_array(values: np.ndarray, stats: ColumnStats, kind: str) -> np.ndarray:
     if kind == KIND_CONTINUOUS:
         return np.clip(values, stats.minimum, stats.maximum)
-    domain = stats.distinct_values
-    pos = np.searchsorted(domain, values)
-    lo = domain[np.clip(pos - 1, 0, domain.size - 1)]
-    hi = domain[np.clip(pos, 0, domain.size - 1)]
-    # ties go to the smaller value
-    return np.where(values - lo <= hi - values, lo, hi)
+    return snap_to_nearest(values, stats.distinct_values)
 
 
 def snap(value: float, stats: ColumnStats, kind: str) -> float:

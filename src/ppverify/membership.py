@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .ldp import snap_to_nearest
 from .tabular import Dataset, KIND_CONTINUOUS
 
 _CHUNK_ROWS = 64  # case/control rows per broadcast block
@@ -58,24 +59,14 @@ def _column_grids(released: Dataset):
     return grids
 
 
-def _quantize(values: np.ndarray, grid) -> np.ndarray:
-    """Snap each observed cell to the nearest grid value, ties toward smaller."""
-    if grid is None or grid.size == 0:
-        return values
-    out = np.array(values, copy=True)
-    observed = ~np.isnan(out)
-    v = out[observed]
-    pos = np.searchsorted(grid, v)
-    lo = grid[np.clip(pos - 1, 0, grid.size - 1)]
-    hi = grid[np.clip(pos, 0, grid.size - 1)]
-    out[observed] = np.where(v - lo <= hi - v, lo, hi)
-    return out
-
-
-def _quantize_matrix(X: np.ndarray, grids) -> np.ndarray:
-    out = np.empty_like(X)
+def _snap_matrix(X: np.ndarray, grids) -> np.ndarray:
+    """Snap each observed cell of a gridded column to its nearest grid value."""
+    out = np.array(X, copy=True)
     for j, grid in enumerate(grids):
-        out[:, j] = _quantize(X[:, j], grid)
+        if grid is not None:
+            column = out[:, j]
+            observed = ~np.isnan(column)
+            column[observed] = snap_to_nearest(column[observed], grid)
     return out
 
 
@@ -90,7 +81,7 @@ def _check_schema(sample: Dataset, released: Dataset, role: str) -> None:
 
 def _distances(samples: np.ndarray, released_q: np.ndarray, grids) -> np.ndarray:
     """Minimum Hamming distance of each sample row to the released rows."""
-    S = _quantize_matrix(samples, grids)
+    S = _snap_matrix(samples, grids)
     out = np.empty(S.shape[0], dtype=int)
     for start in range(0, S.shape[0], _CHUNK_ROWS):
         block = S[start : start + _CHUNK_ROWS]  # (b, c)
@@ -111,7 +102,7 @@ def min_hamming(sample_row: np.ndarray, released: Dataset) -> int:
     if released.n_rows == 0:
         raise DataError("released dataset is empty")
     grids = _column_grids(released)
-    released_q = _quantize_matrix(released.values, grids)
+    released_q = _snap_matrix(released.values, grids)
     return int(_distances(row[None, :], released_q, grids)[0])
 
 
@@ -130,7 +121,7 @@ def mia_power(released: Dataset, cfg: AttackConfig) -> AttackResult:
         raise DataError("case and control groups must be non-empty")
 
     grids = _column_grids(released)
-    released_q = _quantize_matrix(released.values, grids)
+    released_q = _snap_matrix(released.values, grids)
     case_d = _distances(cfg.case_group.values, released_q, grids)
     control_d = _distances(cfg.control_group.values, released_q, grids)
 

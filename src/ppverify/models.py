@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, json_field, read_json
 from .seeding import derive_seed
 from .tabular import KIND_CATEGORICAL, Dataset
 
@@ -457,12 +457,6 @@ def save_model(m: Predictor, path: str) -> None:
         fh.write("\n")
 
 
-def _field(mapping, key: str, where: str):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise DataError(f"model file: {where} lacks {key!r}")
-    return mapping[key]
-
-
 def _array(value, dtype, what: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=dtype)
@@ -480,7 +474,7 @@ def _tree_from_payload(p, n_features: int, k: int, where: str) -> _Trees:
     children.
     """
     keys = ("feature", "threshold", "left", "right", "dist")
-    cols = [_field(p, key, where) for key in keys]
+    cols = [json_field(p, key, f"model file: {where}") for key in keys]
     if not all(isinstance(c, list) for c in cols) or len({len(c) for c in cols}) != 1:
         raise DataError(f"model file: {where} needs node lists of equal length")
     if not cols[0]:
@@ -528,39 +522,37 @@ def _trees_from_payload(entries, n_features: int, k: int) -> _Trees:
     ])
 
 
+_TOP, _PARAMS = "model file: the model", "model file: params"
+
+
 def model_from_payload(payload: dict) -> Predictor:
     """The model a `to_payload` dict describes; DataError on any malformed field."""
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise DataError("not a model file")
     if payload.get("version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model version {payload.get('version')!r}")
-    arch = _field(payload, "architecture", "the model")
-    names = _field(payload, "feature_names", "the model")
+    arch = json_field(payload, "architecture", _TOP)
+    names = json_field(payload, "feature_names", _TOP)
     if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
         raise DataError("model file: feature_names must be a list of strings")
-    classes = _array(_field(payload, "class_values", "the model"), float, "class_values")
+    classes = _array(json_field(payload, "class_values", _TOP), float, "class_values")
     if classes.ndim != 1:
         raise DataError("model file: class_values must be a flat list")
-    params = _field(payload, "params", "the model")
+    params = json_field(payload, "params", _TOP)
     d, k = len(names), classes.size
     if arch == "logreg":
-        weights = _array(_field(params, "weights", "params"), float, "weights")
-        bias = _array(_field(params, "bias", "params"), float, "bias")
+        weights = _array(json_field(params, "weights", _PARAMS), float, "weights")
+        bias = _array(json_field(params, "bias", _PARAMS), float, "bias")
         if weights.shape != (d, k) or bias.shape != (k,):
             raise DataError(f"model file: logreg needs {d}x{k} weights and {k} biases")
         return LogisticRegressionModel(names, classes, weights, bias)
     if arch == "dtree":
         return DecisionTreeModel(names, classes, _trees_from_payload([params], d, k))
     if arch == "rforest":
-        trees = _trees_from_payload(_field(params, "trees", "params"), d, k)
+        trees = _trees_from_payload(json_field(params, "trees", _PARAMS), d, k)
         return RandomForestModel(names, classes, trees)
     raise DataError(f"unknown architecture {arch!r} in model file")
 
 
 def load_model(path: str) -> Predictor:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc})") from None
-    return model_from_payload(payload)
+    return model_from_payload(read_json(path))

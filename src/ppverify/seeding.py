@@ -30,8 +30,3 @@ def derive_seed(*parts) -> int:
     text = "/".join(_canon(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def rng_from(*parts) -> np.random.Generator:
-    """Generator seeded from the derived seed of `parts`."""
-    return np.random.default_rng(derive_seed(*parts))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, json_field, read_json
 
 KIND_CONTINUOUS = "numeric-continuous"
 KIND_DISCRETE = "numeric-discrete"
@@ -326,23 +326,17 @@ def write_schema_sidecar(schema, path: str) -> None:
 
 
 def load_schema_sidecar(path: str):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if not isinstance(payload, list):
         raise DataError(f"{path}: schema sidecar must be a JSON list")
     cols = []
-    for entry in payload:
-        try:
-            cols.append(
-                ColumnSchema(
-                    name=entry["name"],
-                    kind=entry["kind"],
-                    categories=tuple(entry.get("categories", ())),
-                    is_label=bool(entry.get("is_label", False)),
-                )
-            )
-        except KeyError as exc:
-            raise DataError(f"{path}: sidecar entry missing key {exc}") from None
+    for j, entry in enumerate(payload):
+        where = f"{path}: sidecar entry {j}"
+        name, kind = json_field(entry, "name", where), json_field(entry, "kind", where)
+        categories = entry.get("categories", [])
+        if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
+            raise DataError(f"{where}: categories must be a list of strings")
+        cols.append(ColumnSchema(name, kind, tuple(categories), bool(entry.get("is_label", False))))
     return cols
 
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .explain import Explanation, LimeConfig, ShapConfig, lime_explain, shap_explain
-from .models import Predictor, TrainConfig, train
+from .errors import ConfigError, DataError, json_field, read_json
+from .explain import LimeConfig, lime_explain, shap_explain
+from .models import Predictor, TrainConfig, model_from_payload, train
 from .preprocess import PipelineLabel
 from .seeding import derive_seed
 from .tabular import ColumnSchema, Dataset, KIND_CONTINUOUS, KIND_DISCRETE
@@ -77,6 +77,18 @@ class ThresholdModel:
     train_min: float
     train_max: float
     labels_by_class: dict  # class_id -> PipelineLabel
+
+
+@dataclass(frozen=True)
+class MLVerifier:
+    """A classifier over response vectors and the task its classes encode."""
+
+    model: Predictor
+    task: str
+
+    def __post_init__(self):
+        if self.task not in TASKS:
+            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +158,7 @@ def build_responses(
 # ML verifier
 
 
-def fit_ml_verifier(data: LabeledResponseSet, cfg: TrainConfig | None = None) -> Predictor:
+def fit_ml_verifier(data: LabeledResponseSet, cfg: TrainConfig | None = None) -> MLVerifier:
     """Train a classifier over response vectors (default: random forest)."""
     cfg = cfg or TrainConfig(architecture="rforest")
     dim = data.items[0][0].vector.size
@@ -159,9 +171,7 @@ def fit_ml_verifier(data: LabeledResponseSet, cfg: TrainConfig | None = None) ->
         + [ColumnSchema("pipeline_class", KIND_DISCRETE, is_label=True)]
     )
     ds = Dataset(schema, np.column_stack([X, y]), seed_provenance="responses")
-    model = train(ds, cfg)
-    model.verifier_task = data.task
-    return model
+    return MLVerifier(train(ds, cfg), data.task)
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +189,17 @@ def _reference_lookup(reference) -> dict:
     return ref
 
 
-def _per_query_distances(reference, data: LabeledResponseSet):
+def _query_distances(reference, responses) -> list:
+    """Cosine distance of each response to the reference response of its query."""
     ref = _reference_lookup(reference)
-    dists, classes = [], []
-    for rv, label in data.items:
+    dists = []
+    for rv in responses:
         if rv.query_index not in ref:
             raise DataError(
                 f"response for query {rv.query_index} has no reference counterpart"
             )
         dists.append(cosine_distance(ref[rv.query_index], rv.vector))
-        classes.append(data.training_class(label))
-    return np.array(dists), np.array(classes)
+    return dists
 
 
 def _concatenated(responses) -> np.ndarray:
@@ -221,16 +231,16 @@ def _label_map(data: LabeledResponseSet) -> dict:
     for _, label in data.items:
         cls = data.training_class(label)
         if data.task == "binary":
-            labels[cls] = _binary_label(cls)
+            labels[cls] = bare_label(cls)
         else:
             labels.setdefault(cls, label)
     return labels
 
 
-def _binary_label(class_id: int) -> PipelineLabel:
-    if class_id == 0:
-        return PipelineLabel(0, True, ())
-    return PipelineLabel(1, False, None)
+def bare_label(class_id: int) -> PipelineLabel:
+    """The label of a class known only by its id: class 0 is proper, the
+    rest are improper with the omitted steps unspecified."""
+    return PipelineLabel(class_id, class_id == 0, () if class_id == 0 else None)
 
 
 def fit_threshold_verifier(
@@ -249,7 +259,8 @@ def fit_threshold_verifier(
     if granularity not in GRANULARITIES:
         raise ConfigError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
     if granularity == "per_query":
-        dists, classes = _per_query_distances(reference, others)
+        dists = np.array(_query_distances(reference, [rv for rv, _ in others.items]))
+        classes = np.array([others.training_class(label) for _, label in others.items])
     else:
         dists, classes = _per_model_distances(reference, others)
     tau = None
@@ -283,22 +294,11 @@ def _vote(task: str, votes: dict) -> int:
     return min(c for c, n in votes.items() if n == top)
 
 
-def _nearest_centroid(d: float, centroids: dict) -> int:
-    best = min(sorted(centroids), key=lambda c: (abs(d - centroids[c]), c))
-    return int(best)
-
-
-def _normalize_label_table(label_table) -> dict:
-    if label_table is None:
-        return {}
-    if isinstance(label_table, dict):
-        return dict(label_table)
-    # accept enumerate_pipelines output or a bare list of labels
-    out = {}
-    for entry in label_table:
-        label = entry[1] if isinstance(entry, tuple) else entry
-        out[label.class_id] = label
-    return out
+def _threshold_class(t: ThresholdModel, d: float) -> int:
+    """Binary: improper when d > tau. Multi: the nearest centroid, ties to the lowest id."""
+    if t.task == "binary":
+        return 1 if d > t.tau else 0
+    return int(min(sorted(t.centroids), key=lambda c: (abs(d - t.centroids[c]), c)))
 
 
 def classify(
@@ -309,76 +309,43 @@ def classify(
 ) -> Verdict:
     """Aggregate per-query classifications of a target model into one verdict.
 
-    A trained Predictor classifies each response vector directly. A
-    ThresholdModel needs the fitted reference responses again and classifies
-    by distance (binary: d > tau means improper; multi: nearest centroid).
-    `label_table` (a class_id -> PipelineLabel dict, or the output of
-    enumerate_pipelines) names the verdict's pipeline; without it a bare
-    label is synthesized.
+    An MLVerifier classifies each response vector directly. A ThresholdModel
+    needs the fitted reference responses again and classifies by distance
+    (see `_threshold_class`). `label_table`, a class_id -> PipelineLabel
+    dict, names the verdict's pipeline; without it a threshold verifier uses
+    the labels it was fitted on, and an ML verifier a bare label.
     """
     if not target_responses:
         raise DataError("target response list is empty")
-    votes: dict = {}
-    labels_by_class = _normalize_label_table(label_table)
-
+    labels_by_class = dict(label_table or {})
     if isinstance(verifier, ThresholdModel):
         if reference is None:
             raise ConfigError("the threshold verifier needs the reference responses")
-        if not labels_by_class:
-            labels_by_class = verifier.labels_by_class
         if verifier.granularity == "concatenated":
-            ref_concat = _concatenated(reference)
-            d = cosine_distance(ref_concat, _concatenated(target_responses))
-            cls = (
-                (1 if d > verifier.tau else 0)
-                if verifier.task == "binary"
-                else _nearest_centroid(d, verifier.centroids)
-            )
-            votes[cls] = 1
+            dists = [cosine_distance(_concatenated(reference), _concatenated(target_responses))]
         else:
-            ref = _reference_lookup(reference)
-            for rv in target_responses:
-                if rv.query_index not in ref:
-                    raise DataError(
-                        f"target query {rv.query_index} has no reference counterpart"
-                    )
-                d = cosine_distance(ref[rv.query_index], rv.vector)
-                if verifier.task == "binary":
-                    cls = 1 if d > verifier.tau else 0
-                else:
-                    cls = _nearest_centroid(d, verifier.centroids)
-                votes[cls] = votes.get(cls, 0) + 1
-        task = verifier.task
-    elif isinstance(verifier, Predictor) or hasattr(verifier, "predict_proba"):
+            dists = _query_distances(reference, target_responses)
+        classes = [_threshold_class(verifier, d) for d in dists]
+        labels_by_class = labels_by_class or verifier.labels_by_class
+    elif isinstance(verifier, MLVerifier):
+        dim = len(verifier.model.feature_names)
+        if any(rv.vector.size != dim for rv in target_responses):
+            raise DataError(f"the ml verifier takes response vectors of {dim} entries")
         X = np.array([rv.vector for rv in target_responses], dtype=float)
-        P = verifier.predict_proba(X)
-        class_values = getattr(verifier, "class_values", None)
-        for row in P:
-            idx = int(np.argmax(row))
-            cls = int(class_values[idx]) if class_values is not None else idx
-            votes[cls] = votes.get(cls, 0) + 1
-        task = getattr(verifier, "verifier_task", None)
-        if task is None:
-            task = (
-                "binary"
-                if class_values is not None and set(int(v) for v in class_values) <= {0, 1}
-                else "multi"
-            )
+        P = verifier.model.predict_proba(X)
+        classes = [int(verifier.model.class_values[int(np.argmax(row))]) for row in P]
     else:
         raise ConfigError(f"unsupported verifier type {type(verifier).__name__}")
 
-    winner = _vote(task, votes)
-    label = labels_by_class.get(winner)
-    if label is None:
-        label = _binary_label(winner) if winner in (0, 1) and task == "binary" else PipelineLabel(
-            winner, winner == 0, () if winner == 0 else None
-        )
-    total = sum(votes.values())
+    votes: dict = {}
+    for cls in classes:
+        votes[cls] = votes.get(cls, 0) + 1
+    winner = _vote(verifier.task, votes)
     return Verdict(
-        task=task,
-        predicted_label=label,
+        task=verifier.task,
+        predicted_label=labels_by_class.get(winner) or bare_label(winner),
         vote_counts=dict(sorted(votes.items())),
-        confidence=votes.get(winner, 0) / total,
+        confidence=votes.get(winner, 0) / len(classes),
     )
 
 
@@ -386,7 +353,11 @@ def classify(
 # Serialization
 
 
-def threshold_to_payload(t: ThresholdModel) -> dict:
+VERIFIER_FORMAT = "ppverify-verifier"
+VERIFIER_VERSION = 1
+
+
+def _threshold_payload(t: ThresholdModel) -> dict:
     return {
         "format": "ppverify-threshold",
         "version": 1,
@@ -407,58 +378,102 @@ def threshold_to_payload(t: ThresholdModel) -> dict:
     }
 
 
-def threshold_from_payload(payload: dict) -> ThresholdModel:
-    if payload.get("format") != "ppverify-threshold":
-        raise DataError("not a threshold verifier file")
-    labels = {
-        int(c): PipelineLabel(
-            entry["class_id"],
-            entry["is_proper"],
-            tuple(entry["omitted_steps"]) if entry["omitted_steps"] is not None else None,
-        )
-        for c, entry in payload["labels"].items()
-    }
-    centroids = payload.get("centroids")
-    return ThresholdModel(
-        task=payload["task"],
-        granularity=payload["granularity"],
-        tau=payload["tau"],
-        centroids={int(k): float(v) for k, v in centroids.items()} if centroids else None,
-        train_min=payload["train_min"],
-        train_max=payload["train_max"],
-        labels_by_class=labels,
+def _threshold_from_payload(payload, task: str, path: str) -> ThresholdModel:
+    where = f"{path}: threshold payload"
+    keys = ("format", "version", "task", "granularity", "tau", "centroids",
+            "train_min", "train_max", "labels")
+    fmt, version, t_task, granularity, tau, centroids, lo, hi, labels = (
+        json_field(payload, key, where) for key in keys
     )
+    if (fmt, version) != ("ppverify-threshold", 1):
+        raise DataError(f"{where} is not a version-1 threshold payload")
+    if t_task != task:
+        raise DataError(f"{where} has task {t_task!r} but the file says {task!r}")
+    if granularity not in GRANULARITIES:
+        raise DataError(f"{where}: granularity must be one of {GRANULARITIES}")
+    try:
+        t = ThresholdModel(
+            task=task,
+            granularity=granularity,
+            tau=None if tau is None else float(tau),
+            centroids={int(k): float(v) for k, v in centroids.items()} if centroids else None,
+            train_min=float(lo),
+            train_max=float(hi),
+            labels_by_class={
+                int(c): PipelineLabel(
+                    entry["class_id"],
+                    entry["is_proper"],
+                    tuple(entry["omitted_steps"]) if entry["omitted_steps"] is not None else None,
+                )
+                for c, entry in labels.items()
+            },
+        )
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"{where} holds a malformed entry ({exc!r})") from None
+    needs = "tau" if task == "binary" else "centroids"
+    if getattr(t, needs) is None:
+        raise DataError(f"{where}: a {task} threshold needs {needs}")
+    return t
 
 
-def save_threshold(t: ThresholdModel, path: str) -> None:
+def save_verifier(v, path: str) -> None:
+    """Write an MLVerifier or a ThresholdModel as a version-1 verifier file."""
+    if isinstance(v, MLVerifier):
+        method, payload = "ml", v.model.to_payload()
+    elif isinstance(v, ThresholdModel):
+        method, payload = "threshold", _threshold_payload(v)
+    else:
+        raise ConfigError(f"unsupported verifier type {type(v).__name__}")
+    envelope = {
+        "format": VERIFIER_FORMAT,
+        "version": VERIFIER_VERSION,
+        "method": method,
+        "task": v.task,
+        "payload": payload,
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(threshold_to_payload(t), fh)
+        json.dump(envelope, fh)
         fh.write("\n")
 
 
-def load_threshold(path: str) -> ThresholdModel:
-    with open(path, encoding="utf-8") as fh:
-        return threshold_from_payload(json.load(fh))
+def load_verifier(path: str):
+    """The verifier a `save_verifier` file holds; DataError when the file is malformed."""
+    envelope = read_json(path)
+    if not isinstance(envelope, dict) or envelope.get("format") != VERIFIER_FORMAT:
+        raise DataError(f"{path}: not a verifier file")
+    if envelope.get("version") != VERIFIER_VERSION:
+        raise DataError(f"{path}: unsupported verifier version {envelope.get('version')!r}")
+    method, task, payload = (json_field(envelope, k, path) for k in ("method", "task", "payload"))
+    if task not in TASKS:
+        raise DataError(f"{path}: task must be one of {TASKS}, got {task!r}")
+    if method == "threshold":
+        return _threshold_from_payload(payload, task, path)
+    if method != "ml":
+        raise DataError(f"{path}: method must be 'ml' or 'threshold', got {method!r}")
+    model = model_from_payload(payload)
+    ids = model.class_values
+    whole = np.isfinite(ids) & (ids >= 0) & (ids == np.floor(ids))
+    if not ids.size or not whole.all() or (task == "binary" and (ids > 1).any()):
+        raise DataError(f"{path}: classes {ids.tolist()} are not {task} verdict classes")
+    return MLVerifier(model, task)
 
 
-def responses_to_csv(responses, feature_names, path, include_yhat: bool = True) -> None:
+def responses_to_csv(responses, feature_names, path) -> None:
     """Write responses as CSV: feature columns, then intercept, then yhat."""
-    dim = len(feature_names) + (2 if include_yhat else 1)
-    header = list(feature_names) + ["intercept"] + (["yhat"] if include_yhat else [])
+    dim = len(feature_names) + 2
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(list(feature_names) + ["intercept", "yhat"])
         for rv in sorted(responses, key=lambda r: r.query_index):
-            vec = rv.vector if include_yhat else rv.vector[:-1]
-            if vec.size != dim:
+            if rv.vector.size != dim:
                 raise DataError(
-                    f"response vector has {vec.size} entries, expected {dim}"
+                    f"response vector has {rv.vector.size} entries, expected {dim}"
                 )
-            writer.writerow([repr(float(v)) for v in vec])
+            writer.writerow([repr(float(v)) for v in rv.vector])
 
 
 def responses_from_csv(path: str, model_tag: str | None = None) -> list:
-    """Read responses written by `responses_to_csv` (with the yhat column)."""
+    """Read responses written by `responses_to_csv`."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 2:

@@ -16,10 +16,10 @@ from ppverify.verify import (
     cosine_distance,
     fit_ml_verifier,
     fit_threshold_verifier,
-    load_threshold,
+    load_verifier,
     responses_from_csv,
     responses_to_csv,
-    save_threshold,
+    save_verifier,
 )
 
 
@@ -137,6 +137,25 @@ def test_ml_verifier_separates_clean_clusters():
     assert v_proper.confidence == 1.0
 
 
+def test_classify_rejects_a_bare_predictor():
+    proper = [[1.0, 0.0, 0.1 * q] for q in range(10)]
+    improper = [[0.0, 1.0, 0.1 * q] for q in range(10)]
+    verifier = fit_ml_verifier(labeled_set({0: proper, 1: improper}),
+                               TrainConfig(architecture="logreg", seed=0))
+    assert verifier.task == "binary"
+    with pytest.raises(ConfigError):
+        classify(verifier.model, make_responses(proper))
+
+
+def test_ml_verifier_rejects_responses_of_another_length():
+    proper = [[1.0, 0.0, 0.1 * q] for q in range(10)]
+    improper = [[0.0, 1.0, 0.1 * q] for q in range(10)]
+    verifier = fit_ml_verifier(labeled_set({0: proper, 1: improper}),
+                               TrainConfig(architecture="rforest", seed=0, n_trees=3))
+    with pytest.raises(DataError):
+        classify(verifier, make_responses([[1.0, 0.0, 0.5, 0.0]] * 3))
+
+
 def test_ml_verifier_single_class_is_an_error():
     data = labeled_set({0: [[1.0, 0.0]] * 4})
     with pytest.raises(DataError):
@@ -252,8 +271,8 @@ def test_threshold_serialization_roundtrip(tmp_path):
     data = labeled_set({0: [[1.0, 0.0]] * 5, 1: [[0.0, 1.0]] * 5})
     t = fit_threshold_verifier(reference, data, "per_query")
     path = tmp_path / "t.json"
-    save_threshold(t, str(path))
-    back = load_threshold(str(path))
+    save_verifier(t, str(path))
+    back = load_verifier(str(path))
     assert back.tau == t.tau
     assert back.task == t.task
     assert back.granularity == t.granularity
