@@ -7,7 +7,9 @@ itself (parse failures, schema mismatches, degenerate inputs). The CLI maps
 them to distinct exit codes.
 """
 
+import dataclasses
 import json
+import numbers
 
 
 class PPVerifyError(Exception):
@@ -36,3 +38,26 @@ def json_field(mapping, key: str, where: str):
     if not isinstance(mapping, dict) or key not in mapping:
         raise DataError(f"{where} lacks {key!r}")
     return mapping[key]
+
+
+_SCALAR_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool,
+                 "None": type(None)}
+
+
+def check_field_types(obj) -> None:
+    """ConfigError unless every field of the dataclass `obj` annotated with
+    int, float, str, bool or a union of them holds such a value.
+
+    An int passes for a float; a bool passes only for a bool. Fields of any
+    other type are the caller's to check.
+    """
+    for f in dataclasses.fields(obj):
+        names = [t.strip() for t in str(getattr(f.type, "__name__", f.type)).split("|")]
+        if not all(t in _SCALAR_TYPES for t in names):
+            continue
+        value = getattr(obj, f.name)
+        if not any(
+            isinstance(value, _SCALAR_TYPES[t]) and (t == "bool") == isinstance(value, bool)
+            for t in names
+        ):
+            raise ConfigError(f"{f.name} must be {' or '.join(names)}, got {value!r}")

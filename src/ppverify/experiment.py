@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, PPVerifyError
+from .errors import ConfigError, DataError, PPVerifyError, check_field_types
 from .explain import LimeConfig, ShapConfig
 from .ldp import PrivacyBudget, privatize
 from .membership import AttackConfig, mia_power
@@ -87,6 +87,7 @@ class ExperimentConfig:
     attack_fpr: float = 0.05
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.source not in SOURCES:
             raise ConfigError(f"source must be one of {SOURCES}, got {self.source!r}")
         if self.source == "csv" and not self.csv_path:
@@ -140,6 +141,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown synthetic keys: {sorted(spec_unknown)}")
             kwargs["synthetic"] = SyntheticSpec(**kwargs["synthetic"])
         if "epsilon_grid" in kwargs:
+            if not isinstance(kwargs["epsilon_grid"], list):
+                raise ConfigError("epsilon_grid must be a JSON list")
             kwargs["epsilon_grid"] = tuple(
                 PrivacyBudget.parse(str(e)).epsilon for e in kwargs["epsilon_grid"]
             )

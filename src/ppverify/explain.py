@@ -73,7 +73,8 @@ class ShapConfig:
     explained_class: int | None = None
 
 
-def _as_matrix(background) -> np.ndarray:
+def _as_matrix(background, M: int) -> np.ndarray:
+    """The background's feature matrix, checked against a query of M features."""
     if background is None:
         raise ConfigError("a background dataset is required")
     if hasattr(background, "feature_matrix"):
@@ -82,7 +83,43 @@ def _as_matrix(background) -> np.ndarray:
         mat = np.asarray(background, dtype=float)
     if mat.ndim != 2 or mat.shape[0] == 0:
         raise DataError("background must be a non-empty 2-D feature matrix")
+    if mat.shape[1] != M:
+        raise DataError(f"background has {mat.shape[1]} features, query has {M}")
     return mat
+
+
+@dataclass(frozen=True, eq=False)
+class _Background:
+    """A background matrix with the setup that every query of one model
+    shares: the LIME per-feature spread, or the model a SHAP explanation
+    probes and its background probabilities. The explainers accept one
+    wherever they accept a background, and reuse the setup it holds."""
+
+    matrix: np.ndarray
+    sigma: np.ndarray | None = None
+    model: object = None
+    probs: np.ndarray | None = None
+
+    def feature_matrix(self) -> np.ndarray:
+        return self.matrix
+
+
+def _lime_background(background, M: int) -> _Background:
+    bg = _as_matrix(background, M)
+    if isinstance(background, _Background) and background.sigma is not None:
+        return background
+    with np.errstate(invalid="ignore"):
+        sigma = np.array(
+            [c[~np.isnan(c)].std() if (~np.isnan(c)).any() else 0.0 for c in bg.T]
+        )
+    return _Background(bg, sigma=sigma)
+
+
+def _shap_background(m, background, M: int) -> _Background:
+    bg = _as_matrix(background, M)
+    if isinstance(background, _Background) and background.model is m:
+        return background
+    return _Background(bg, model=m, probs=m.predict_proba(bg))
 
 
 def _explained_class(m, x, override, n_classes) -> int:
@@ -118,15 +155,9 @@ def lime_explain(m, x, cfg: LimeConfig, background) -> Explanation:
     """
     x = np.asarray(x, dtype=float)
     M = x.size
-    bg = _as_matrix(background)
-    if bg.shape[1] != M:
-        raise DataError(f"background has {bg.shape[1]} features, query has {M}")
+    sigma = _lime_background(background, M).sigma
     if cfg.num_samples < M + 2:
         raise ConfigError(f"num_samples must be at least {M + 2}, got {cfg.num_samples}")
-    with np.errstate(invalid="ignore"):
-        sigma = np.array(
-            [c[~np.isnan(c)].std() if (~np.isnan(c)).any() else 0.0 for c in bg.T]
-        )
     if (sigma == 0).any() and cfg.ridge_strength <= 0:
         raise ConfigError(
             "a background feature has zero spread; ridge_strength must be positive"
@@ -186,7 +217,7 @@ def _sample_coalitions(M, budget, rng):
     ints = np.empty(budget, dtype=np.int64)
     for i, s in enumerate(drawn):
         members = rng.choice(M, size=int(s), replace=False)
-        ints[i] = int(np.sum(1 << members.astype(np.int64)))
+        ints[i] = sum(1 << j for j in members.tolist())
     uniq, counts = np.unique(ints, return_counts=True)
     return _masks_from_ints(uniq, M), counts.astype(float)
 
@@ -201,11 +232,8 @@ def shap_explain(m, x, cfg: ShapConfig) -> Explanation:
     """
     x = np.asarray(x, dtype=float)
     M = x.size
-    bg = _as_matrix(cfg.background)
-    if bg.shape[1] != M:
-        raise DataError(f"background has {bg.shape[1]} features, query has {M}")
-
-    bg_probs = m.predict_proba(bg)
+    prepared = _shap_background(m, cfg.background, M)
+    bg, bg_probs = prepared.matrix, prepared.probs
     cls = _explained_class(m, x, cfg.explained_class, bg_probs.shape[1])
     f0 = float(bg_probs[:, cls].mean())
     fx = float(m.predict_proba(x[None, :])[0, cls])
@@ -264,9 +292,7 @@ def exact_shapley(m, x, background) -> np.ndarray:
         raise ConfigError(
             f"exact_shapley supports at most {ORACLE_FEATURE_LIMIT} features, got {M}"
         )
-    bg = _as_matrix(background)
-    if bg.shape[1] != M:
-        raise DataError(f"background has {bg.shape[1]} features, query has {M}")
+    bg = _as_matrix(background, M)
     cls = _explained_class(m, x, None, m.predict_proba(bg).shape[1])
 
     n_masks = 1 << M

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, json_field, read_json
+from .errors import ConfigError, DataError, check_field_types, json_field, read_json
 from .seeding import derive_seed
 from .tabular import KIND_CATEGORICAL, Dataset
 
@@ -48,6 +48,7 @@ class TrainConfig:
     bootstrap: bool = True
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.learning_rate <= 0 or self.iterations < 1 or self.l2 < 0:
@@ -150,15 +151,47 @@ class LogisticRegressionModel(Predictor):
 
 
 def _fit_logreg(X, y_idx, feature_names, class_values, cfg: TrainConfig):
+    """Gradient descent with the gradient of `logreg_loss_grad`, bit for bit.
+
+    Each step works in preallocated buffers and skips the loss. The softmax
+    row max and row sum run column by column: a max is exact in any order,
+    and numpy sums fewer than 8 numbers left to right, so below 8 classes
+    the column sweep adds in the same order as `sum(axis=1)`.
+    """
     n, d = X.shape
     k = class_values.size
     Y = np.zeros((n, k))
     Y[np.arange(n), y_idx] = 1.0
     X1 = np.column_stack([X, np.ones(n)])
+    X1T = X1.T
     params = np.zeros((d + 1, k))
+    penalty = np.zeros((d + 1, k))  # params with the bias row zeroed
+    Z = np.empty((n, k))
+    cols = [Z[:, j] for j in range(k)]
+    top, total = np.empty(n), np.empty(n)
+    grad, step = np.empty((d + 1, k)), np.empty((d + 1, k))
     for _ in range(cfg.iterations):
-        _, grad = logreg_loss_grad(params, X1, Y, cfg.l2)
-        params -= cfg.learning_rate * grad
+        np.matmul(X1, params, out=Z)
+        np.maximum(cols[0], cols[1], out=top)
+        for c in cols[2:]:
+            np.maximum(top, c, out=top)
+        Z -= top[:, None]
+        np.exp(Z, out=Z)
+        if k < 8:
+            np.add(cols[0], cols[1], out=total)
+            for c in cols[2:]:
+                total += c
+        else:
+            np.sum(Z, axis=1, out=total)
+        Z /= total[:, None]
+        Z -= Y  # P - Y
+        np.matmul(X1T, Z, out=grad)
+        grad /= n
+        penalty[:-1] = params[:-1]
+        np.multiply(penalty, cfg.l2, out=step)
+        grad += step
+        grad *= cfg.learning_rate
+        params -= grad
     return LogisticRegressionModel(feature_names, class_values, params[:-1], params[-1])
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, json_field, read_json
+from .errors import ConfigError, DataError, check_field_types, json_field, read_json
 
 KIND_CONTINUOUS = "numeric-continuous"
 KIND_DISCRETE = "numeric-discrete"
@@ -336,7 +336,11 @@ def load_schema_sidecar(path: str):
         categories = entry.get("categories", [])
         if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
             raise DataError(f"{where}: categories must be a list of strings")
-        cols.append(ColumnSchema(name, kind, tuple(categories), bool(entry.get("is_label", False))))
+        is_label = bool(entry.get("is_label", False))
+        try:
+            cols.append(ColumnSchema(name, kind, tuple(categories), is_label))
+        except ConfigError as exc:  # unknown kind, unsorted or repeated categories
+            raise DataError(f"{where}: {exc}") from None
     return cols
 
 
@@ -397,6 +401,7 @@ class SyntheticSpec:
     missing_fraction: float = 0.02
 
     def __post_init__(self):
+        check_field_types(self)
         if self.rows < self.classes:
             raise ConfigError("rows must be at least the class count")
         if self.features < 1 or self.classes < 1:

@@ -17,7 +17,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, json_field, read_json
-from .explain import LimeConfig, lime_explain, shap_explain
+from .explain import (
+    LimeConfig,
+    _lime_background,
+    _shap_background,
+    lime_explain,
+    shap_explain,
+)
 from .models import Predictor, TrainConfig, model_from_payload, train
 from .preprocess import PipelineLabel
 from .seeding import derive_seed
@@ -133,8 +139,14 @@ def build_responses(
     if np.isnan(X).any():
         raise DataError("queries contain missing cells")
     is_lime = isinstance(explainer_cfg, LimeConfig)
-    if is_lime and background is None:
-        raise ConfigError("the lime explainer needs a background dataset")
+    # per-model setup, shared by every query
+    if is_lime:
+        background = _lime_background(background, X.shape[1])
+    else:
+        explainer_cfg = replace(
+            explainer_cfg,
+            background=_shap_background(m, explainer_cfg.background, X.shape[1]),
+        )
 
     out = []
     for q in range(X.shape[0]):

@@ -1,0 +1,121 @@
+"""The lean logistic regression loop, the coalition sampler and the
+per-model explainer setup of `build_responses`, each against the code it
+replaced: results must match bit for bit."""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import loop_reference as ref
+from conftest import build_dataset
+from ppverify import models
+from ppverify.explain import (
+    EXACT,
+    LimeConfig,
+    ShapConfig,
+    _masks_from_ints,
+    _sample_coalitions,
+    lime_explain,
+    shap_explain,
+)
+from ppverify.models import TrainConfig, train
+from ppverify.seeding import derive_seed
+from ppverify.verify import build_responses
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(1, 60),
+    d=st.integers(1, 6),
+    k=st.integers(2, 10),
+    scale=st.sampled_from([0.1, 1.0, 10.0]),
+    learning_rate=st.sampled_from([0.01, 0.1, 0.5, 1.0]),
+    l2=st.sampled_from([0.0, 1e-4, 0.1]),
+    iterations=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_logreg_params_equal_the_reference_bit_for_bit(
+    n, d, k, scale, learning_rate, l2, iterations, seed
+):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * scale
+    y_idx = rng.integers(0, k, size=n)
+    cfg = TrainConfig(learning_rate=learning_rate, iterations=iterations, l2=l2)
+    m = models._fit_logreg(X, y_idx, [f"f{j}" for j in range(d)], np.arange(k, dtype=float), cfg)
+    got = np.vstack([m.weights, m.bias])
+    want = ref.fit_logreg(X, y_idx, k, learning_rate, iterations, l2)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=st.integers(2, 20), budget=st.integers(1, 300), seed=st.integers(0, 2**16))
+def test_coalition_sampler_draws_the_reference_masks(M, budget, seed):
+    masks, counts = _sample_coalitions(M, budget, np.random.default_rng(seed))
+    uniq, want_counts = np.unique(
+        ref.coalition_ints(M, budget, np.random.default_rng(seed)), return_counts=True
+    )
+    assert np.array_equal(masks, _masks_from_ints(uniq, M))
+    assert np.array_equal(counts, want_counts)
+
+
+def _table(rng, n, d, missing=0):
+    """n rows of d features and a 3-class label; `missing` cells of feature 2
+    are blank."""
+    X = rng.standard_normal((n, d))
+    X[:missing, 2] = np.nan
+    y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5)
+    return build_dataset(np.column_stack([X, y]))
+
+
+def _per_query_vectors(m, queries, cfg, background):
+    """What build_responses returns, from one public explainer call per query."""
+    out = []
+    for q, x in enumerate(queries.feature_matrix()):
+        qcfg = replace(cfg, seed=derive_seed(cfg.seed, "query", q))
+        if isinstance(cfg, LimeConfig):
+            expl = lime_explain(m, x, qcfg, background)
+        else:
+            expl = shap_explain(m, x, qcfg)
+        yhat = float(expl.explained_class)
+        out.append(np.concatenate([expl.attributions, [expl.intercept_or_base, yhat]]))
+    return out
+
+
+class BackgroundCounter:
+    """Wraps a model and counts `predict_proba` calls on the background."""
+
+    def __init__(self, model, background):
+        self.model, self.bg = model, background.feature_matrix()
+        self.background_calls = 0
+
+    def predict_proba(self, X):
+        if X.shape == self.bg.shape and np.array_equal(X, self.bg):
+            self.background_calls += 1
+        return self.model.predict_proba(X)
+
+    def predict(self, x):
+        return self.model.predict(x)
+
+
+def test_build_responses_equals_per_query_explainer_calls():
+    rng = np.random.default_rng(7)
+    train_set, queries = _table(rng, 120, 5), _table(rng, 6, 5)
+    background = _table(rng, 10, 5, missing=2)  # LIME's spread skips blank cells
+    shap_background = _table(rng, 8, 5)
+    configs = [
+        LimeConfig(num_samples=200, seed=11),
+        ShapConfig(background=shap_background, coalition_budget=40, seed=11),
+        ShapConfig(background=shap_background, coalition_budget=EXACT, seed=11),
+    ]
+    for arch in ("logreg", "rforest"):
+        m = train(train_set, TrainConfig(architecture=arch, seed=3, iterations=50, n_trees=5))
+        for cfg in configs:
+            counted = BackgroundCounter(m, shap_background)
+            got = [rv.vector for rv in build_responses(counted, queries, cfg, background)]
+            want = _per_query_vectors(m, queries, cfg, background)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), (arch, cfg)
+            if isinstance(cfg, ShapConfig):
+                assert counted.background_calls == 1  # once per model, not per query

@@ -139,6 +139,11 @@ MALFORMED_SIDECARS = [
     ("entry-lacks-kind", json.dumps([{"name": "f0"}, LABEL_ENTRY])),
     ("categories-not-a-list",
      json.dumps([{"name": "f0", "kind": "categorical", "categories": 5}, LABEL_ENTRY])),
+    ("unknown-kind", json.dumps([{"name": "f0", "kind": "weird"}, LABEL_ENTRY])),
+    ("categories-unsorted",
+     json.dumps([{"name": "f0", "kind": "categorical", "categories": ["b", "a"]}, LABEL_ENTRY])),
+    ("categories-duplicated",
+     json.dumps([{"name": "f0", "kind": "categorical", "categories": ["a", "a"]}, LABEL_ENTRY])),
 ]
 
 CASES = (
@@ -147,7 +152,14 @@ CASES = (
     + [
         pytest.param("train", "{not json", 2, id="train-config-not-json"),
         pytest.param("train", "[1]", 2, id="train-config-a-list"),
+        pytest.param("train", json.dumps({"l2": "big"}), 2, id="train-config-l2-a-string"),
         pytest.param("experiment", "{not json", 2, id="experiment-config-not-json"),
+        pytest.param("experiment", json.dumps({"trials": "2"}), 2,
+                     id="experiment-config-trials-a-string"),
+        pytest.param("experiment", json.dumps({"synthetic": {"rows": "x"}}), 2,
+                     id="experiment-config-synthetic-rows-a-string"),
+        pytest.param("experiment", json.dumps({"epsilon_grid": 5}), 2,
+                     id="experiment-config-epsilon-grid-not-a-list"),
     ]
 )
 
