@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -24,10 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, PPVerifyError, check_field_types
-from .explain import LimeConfig, ShapConfig
+from .explain import EXACT, LimeConfig, ShapConfig
 from .ldp import PrivacyBudget, privatize
 from .membership import AttackConfig, mia_power
-from .models import ARCHITECTURES, TrainConfig, train
+# `train` is not called here; perfbench/spans.py wraps `experiment.train`.
+from .models import ARCHITECTURES, TrainConfig, train, train_many, training_arrays  # noqa: F401
 from .preprocess import ENUMERATION_MODES, apply_pipeline, enumerate_pipelines
 from .seeding import derive_seed
 from .svgchart import render_line_chart
@@ -116,6 +118,18 @@ class ExperimentConfig:
             raise ConfigError("attack_group_size must be >= 1")
         if not 0.0 < self.attack_fpr < 1.0:
             raise ConfigError("attack_fpr must lie in (0, 1)")
+        budget = self.shap_budget
+        if budget != EXACT and not (
+            isinstance(budget, numbers.Integral) and not isinstance(budget, bool) and budget > 0
+        ):
+            raise ConfigError(f'shap_budget must be a positive int or "exact", got {budget!r}')
+        # LIME needs at least features + 2 samples, so never fewer than 3
+        if self.lime_num_samples < 3:
+            raise ConfigError("lime_num_samples must be >= 3")
+        if self.lime_ridge < 0:
+            raise ConfigError("lime_ridge must be >= 0")
+        if self.lime_kernel_width is not None and self.lime_kernel_width <= 0:
+            raise ConfigError("lime_kernel_width must be > 0")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -146,9 +160,6 @@ class ExperimentConfig:
             kwargs["epsilon_grid"] = tuple(
                 PrivacyBudget.parse(str(e)).epsilon for e in kwargs["epsilon_grid"]
             )
-        if "shap_budget" in kwargs and isinstance(kwargs["shap_budget"], str):
-            if kwargs["shap_budget"] != "exact":
-                raise ConfigError("shap_budget must be an integer or \"exact\"")
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -204,24 +215,41 @@ def _load_source(cfg: ExperimentConfig) -> Dataset | None:
     return load_csv(cfg.csv_path, schema=schema)
 
 
-def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, eps_index=None):
+def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, clock,
+                        eps_index=None):
     """Train one model per pipeline and collect its query responses.
 
     Pipeline and training seeds are stage-specific (the two parties do not
     share randomness), but the explainer seed depends only on the trial: the
     probing side explains every model under the same perturbation draws, so
     identical models produce identical responses. `stage` also prefixes the
-    model tags.
+    model tags, and `clock` records the training time as `<stage>_train`.
+
+    Pipelines apply and their training sets are checked in order; the
+    models before the first failure then train together in one `train_many`
+    call and are explained in order, and the failure is raised last. A
+    failed stage therefore raises the error that training and explaining
+    one pipeline at a time would raise first.
     """
-    out = {}
     explain_seed = derive_seed(cfg.master_seed, "explain", trial)
+    applied, failure = [], None  # (label, train set, query set, train config)
     for k, (pipe, label) in enumerate(pipelines):
         parts = [cfg.master_seed, stage, trial, k]
         if eps_index is not None:
             parts.insert(3, eps_index)
-        tr, te, _ = apply_pipeline(data, queries, pipe, derive_seed(*parts, "pipe"))
         train_cfg = TrainConfig(architecture=cfg.architecture, seed=derive_seed(*parts, "train"))
-        model = train(tr, train_cfg)
+        try:
+            tr, te, _ = apply_pipeline(data, queries, pipe, derive_seed(*parts, "pipe"))
+            training_arrays(tr, train_cfg)
+        except PPVerifyError as exc:
+            failure = exc
+            break
+        applied.append((label, tr, te, train_cfg))
+    t = time.perf_counter()
+    fitted = train_many([a[1] for a in applied], [a[3] for a in applied])
+    clock(f"{stage}_train", t)
+    out = {}
+    for (label, _, te, _), model in zip(applied, fitted):
         background = te.take(bg_idx)
         e_cfg = _explainer_cfg(cfg, background, explain_seed)
         out[label.class_id] = build_responses(
@@ -231,6 +259,8 @@ def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, eps
             background=background,
             model_tag=f"{stage}-{label.class_id}",
         )
+    if failure is not None:
+        raise failure
     return out
 
 
@@ -294,7 +324,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         target_error = None
         try:
             target_responses = _pipeline_responses(
-                cfg, train_d, queries, pipelines, bg_idx, "target", trial
+                cfg, train_d, queries, pipelines, bg_idx, "target", trial, clock
             )
         except PPVerifyError as exc:
             target_error = f"error: {exc}"
@@ -327,7 +357,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 try:
                     verifier_responses = _pipeline_responses(
                         cfg, released, queries, pipelines, bg_idx,
-                        "verifier", trial, eps_index=ei,
+                        "verifier", trial, clock, eps_index=ei,
                     )
                     labeled = LabeledResponseSet.from_models(
                         [(label, verifier_responses[label.class_id]) for _, label in pipelines],

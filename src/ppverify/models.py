@@ -150,32 +150,51 @@ class LogisticRegressionModel(Predictor):
         return {"weights": self.weights.tolist(), "bias": self.bias.tolist()}
 
 
-def _fit_logreg(X, y_idx, feature_names, class_values, cfg: TrainConfig):
-    """Gradient descent with the gradient of `logreg_loss_grad`, bit for bit.
+#: Most training rows that one lockstep logreg loop holds at once; a group
+#: of models with more rows between them trains in several loops.
+_LOCKSTEP_ROWS = 1 << 13
 
-    Each step works in preallocated buffers and skips the loss. The softmax
-    row max and row sum run column by column: a max is exact in any order,
-    and numpy sums fewer than 8 numbers left to right, so below 8 classes
-    the column sweep adds in the same order as `sum(axis=1)`.
+
+def _fit_logregs(problems, cfg: TrainConfig) -> list:
+    """One model per (X, y_idx, feature_names, class_values) problem, all
+    trained together by one gradient-descent loop.
+
+    Every problem has the same feature and class counts. Each model's params
+    equal those of descent on `logreg_loss_grad` alone, bit for bit:
+    - each model keeps its own two matmuls, on C-contiguous views, because
+      BLAS may split a sum by matrix shape, so stacked matrices could round
+      differently;
+    - the softmax runs once per step on one buffer holding every model's
+      rows, column by column: a max is exact in any order, and numpy sums
+      fewer than 8 numbers left to right, so below 8 classes the column
+      sweep adds in the order of `sum(axis=1)`;
+    - the update runs once per step on the stacked (models, d+1, k) params.
+    Each step works in preallocated buffers and skips the loss.
     """
-    n, d = X.shape
-    k = class_values.size
-    Y = np.zeros((n, k))
-    Y[np.arange(n), y_idx] = 1.0
-    X1 = np.column_stack([X, np.ones(n)])
-    X1T = X1.T
-    params = np.zeros((d + 1, k))
-    penalty = np.zeros((d + 1, k))  # params with the bias row zeroed
-    Z = np.empty((n, k))
+    d, k = problems[0][0].shape[1], problems[0][3].size
+    sizes = [X.shape[0] for X, *_ in problems]
+    bounds = np.cumsum([0] + sizes)
+    Y = np.zeros((bounds[-1], k))
+    Y[np.arange(bounds[-1]), np.concatenate([y for _, y, *_ in problems])] = 1.0
+    Z = np.empty_like(Y)
     cols = [Z[:, j] for j in range(k)]
-    top, total = np.empty(n), np.empty(n)
-    grad, step = np.empty((d + 1, k)), np.empty((d + 1, k))
+    top, total = np.empty(bounds[-1]), np.empty(bounds[-1])
+    params = np.zeros((len(problems), d + 1, k))
+    penalty = np.zeros_like(params)  # params with the bias rows zeroed
+    grad, step = np.empty_like(params), np.empty_like(params)
+    n = np.array(sizes, dtype=float)[:, None, None]
+    views = []  # per model: X1, X1.T and its views of params, Z and grad
+    for (X, *_), a, b, p, g in zip(problems, bounds[:-1], bounds[1:], params, grad):
+        X1 = np.column_stack([X, np.ones(X.shape[0])])
+        views.append((X1, X1.T, p, Z[a:b], g))
     for _ in range(cfg.iterations):
-        np.matmul(X1, params, out=Z)
+        for X1, _, p, z, _ in views:
+            np.matmul(X1, p, out=z)
         np.maximum(cols[0], cols[1], out=top)
         for c in cols[2:]:
             np.maximum(top, c, out=top)
-        Z -= top[:, None]
+        for c in cols:
+            c -= top
         np.exp(Z, out=Z)
         if k < 8:
             np.add(cols[0], cols[1], out=total)
@@ -183,16 +202,26 @@ def _fit_logreg(X, y_idx, feature_names, class_values, cfg: TrainConfig):
                 total += c
         else:
             np.sum(Z, axis=1, out=total)
-        Z /= total[:, None]
+        for c in cols:
+            c /= total
         Z -= Y  # P - Y
-        np.matmul(X1T, Z, out=grad)
+        for _, X1T, _, z, g in views:
+            np.matmul(X1T, z, out=g)
         grad /= n
-        penalty[:-1] = params[:-1]
+        penalty[:, :-1] = params[:, :-1]
         np.multiply(penalty, cfg.l2, out=step)
         grad += step
         grad *= cfg.learning_rate
         params -= grad
-    return LogisticRegressionModel(feature_names, class_values, params[:-1], params[-1])
+    return [
+        LogisticRegressionModel(names, classes, p[:-1], p[-1])
+        for (_, _, names, classes), p in zip(problems, params)
+    ]
+
+
+def _fit_logreg(X, y_idx, feature_names, class_values, cfg: TrainConfig):
+    """One model trained on its own: the lockstep loop with one member."""
+    return _fit_logregs([(X, y_idx, feature_names, class_values)], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +472,13 @@ def _fit_trees(X, y_idx, feature_names, class_values, cfg: TrainConfig):
 # Entry points
 
 
-def _training_arrays(train: Dataset):
+def training_arrays(train: Dataset, cfg: TrainConfig):
+    """(X, class index per row, class values) of a valid training problem.
+
+    Raises ConfigError for a bad `cfg` and DataError unless `train` is
+    encoded, complete, non-empty and holds at least two classes.
+    """
+    cfg.validate()
     if any(c.kind == KIND_CATEGORICAL for c in train.schema):
         raise DataError("training data still has categorical columns; encode them first")
     if np.isnan(train.values).any():
@@ -459,12 +494,43 @@ def _training_arrays(train: Dataset):
     return X, y_idx, class_values
 
 
+def train_many(datasets, cfgs) -> list:
+    """One model per (dataset, cfg) pair, in order.
+
+    Every pair is checked with `training_arrays`, in order, before any model
+    trains. Logreg models that share the feature and class counts and the
+    iterations, learning rate and l2 train together, in lockstep loops of at
+    most `_LOCKSTEP_ROWS` rows (a larger model trains alone); tree models
+    train one at a time. Every model equals the one its pair trains alone,
+    bit for bit.
+    """
+    problems = []  # (X, y_idx, feature_names, class_values) per pair
+    for ds, cfg in zip(datasets, cfgs, strict=True):
+        X, y_idx, classes = training_arrays(ds, cfg)
+        problems.append((X, y_idx, ds.feature_names, classes))
+    out: list = [None] * len(problems)
+    loops, open_loop = [], {}  # lockstep batches of pair indices; the open one per group
+    for i, (problem, cfg) in enumerate(zip(problems, cfgs)):
+        X, classes = problem[0], problem[3]
+        if cfg.architecture != "logreg":
+            out[i] = _fit_trees(*problem, cfg)
+            continue
+        key = (X.shape[1], classes.size, cfg.iterations, cfg.learning_rate, cfg.l2)
+        batch = open_loop.get(key)
+        rows = 0 if batch is None else sum(problems[j][0].shape[0] for j in batch)
+        if batch is None or rows + X.shape[0] > _LOCKSTEP_ROWS:
+            batch = open_loop[key] = []
+            loops.append(batch)
+        batch.append(i)
+    for batch in loops:
+        for i, model in zip(batch, _fit_logregs([problems[i] for i in batch], cfgs[batch[0]])):
+            out[i] = model
+    return out
+
+
 def train(dataset: Dataset, cfg: TrainConfig) -> Predictor:
     """Train one model per `cfg.architecture` on an encoded, complete dataset."""
-    cfg.validate()
-    X, y_idx, class_values = _training_arrays(dataset)
-    fit = _fit_logreg if cfg.architecture == "logreg" else _fit_trees
-    return fit(X, y_idx, dataset.feature_names, class_values, cfg)
+    return train_many([dataset], [cfg])[0]
 
 
 def predict_batch(m: Predictor, queries: Dataset):

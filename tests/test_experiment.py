@@ -13,7 +13,9 @@ from ppverify.experiment import (
     run_experiment,
     summarize,
 )
-from ppverify.tabular import SyntheticSpec
+from ppverify.preprocess import DROP_OUTLIERS, apply_pipeline, enumerate_pipelines
+from ppverify.seeding import derive_seed
+from ppverify.tabular import SyntheticSpec, load_csv, split
 
 
 def tiny_config(**overrides):
@@ -329,3 +331,65 @@ def test_cli_experiment_rejects_bad_config(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"nope": 1}))
     assert run_cli("experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")) == 2
     capsys.readouterr()
+
+
+def _write_csv(path, rows):
+    path.write_text("f0,f1,label\n" + "".join(f"{a!r},{b!r},{c}\n" for a, b, c in rows))
+    return str(path)
+
+
+def _pipelines_with_one_class(csv_path, seed):
+    """Class ids of the pipelines whose training split keeps a single class."""
+    train_d, _ = split(load_csv(csv_path), 0.8, derive_seed(seed, "split", 0))
+    return {
+        label.class_id
+        for pipe, label in enumerate_pipelines()
+        if np.unique(apply_pipeline(train_d, None, pipe, 0)[0].labels()).size == 1
+    }
+
+
+def test_a_stage_that_leaves_one_class_fails_every_cell_with_its_error(tmp_path):
+    # class 1 sits far out on f0, so exactly the pipelines that drop outliers
+    # lose it; the target stage fails on the proper pipeline, pipeline 0
+    rng = np.random.default_rng(3)
+    rows = [(float(a), float(b), 0) for a, b in rng.uniform(0, 1, (96, 2))]
+    rows += [(50.0 + i, 0.5, 1) for i in range(4)]
+    csv = _write_csv(tmp_path / "outliers.csv", rows)
+    with_outlier_step = {
+        label.class_id for pipe, label in enumerate_pipelines() if DROP_OUTLIERS in pipe.steps
+    }
+    assert _pipelines_with_one_class(csv, 7) == with_outlier_step
+    cfg = tiny_config(source="csv", csv_path=csv, synthetic=None, trials=1, master_seed=7,
+                      attack_group_size=10)
+    report = run_experiment(cfg)
+    assert [r.status for r in report.rows] == ["error: training set holds a single class"] * 4
+    assert all(a.status == "ok" for a in report.attack_rows)
+
+
+def test_a_failed_stage_reports_the_first_error_in_pipeline_order(tmp_path):
+    # Pipeline 0 trains, then its explainer fails (3 LIME samples, 2
+    # features); later pipelines that keep the duplicated rows lose class 1
+    # as outliers. Training and explaining one pipeline at a time meets the
+    # explainer error first, so that is the status.
+    rng = np.random.default_rng(5)
+    rows = [(0.0, 0.0, 0)] * 60 + [(float(a), float(b), 0) for a, b in rng.uniform(-2, 2, (30, 2))]
+    rows += [(4.0, 0.5, 1), (4.1, -0.5, 1), (4.2, 0.1, 1)]
+    csv = _write_csv(tmp_path / "dups.csv", rows)
+    one_class = _pipelines_with_one_class(csv, 7)
+    assert one_class and 0 not in one_class
+    cfg = tiny_config(source="csv", csv_path=csv, synthetic=None, trials=1, master_seed=7,
+                      epsilon_grid=(math.inf,), lime_num_samples=3, attack=False)
+    report = run_experiment(cfg)
+    assert [r.status for r in report.rows] == ["error: num_samples must be at least 4, got 3"] * 2
+
+
+def test_run_meta_times_each_stage_training_and_other_files_rerun_identically(tmp_path):
+    paths = [emit_report(run_experiment(tiny_config(trials=1)), str(tmp_path / f"run{i}"))
+             for i in (1, 2)]
+    stages = json.loads(open(paths[0]["run_meta"]).read())["stages"]
+    assert {"target_models", "target_train", "verifier_models", "verifier_train"} <= set(stages)
+    assert stages["target_train"] <= stages["target_models"]
+    assert stages["verifier_train"] <= stages["verifier_models"]
+    assert set(paths[0]) == set(paths[1])
+    for key in set(paths[0]) - {"run_meta"}:
+        assert open(paths[0][key], "rb").read() == open(paths[1][key], "rb").read(), key

@@ -161,6 +161,17 @@ CASES = (
         pytest.param("experiment", json.dumps({"epsilon_grid": 5}), 2,
                      id="experiment-config-epsilon-grid-not-a-list"),
     ]
+    + [
+        pytest.param("experiment", json.dumps(config), 2, id=f"experiment-config-{name}")
+        for name, config in (
+            ("shap-budget-a-float", {"explainer": "shap", "shap_budget": 1.5}),
+            ("shap-budget-a-bool", {"explainer": "shap", "shap_budget": True}),
+            ("shap-budget-zero", {"explainer": "shap", "shap_budget": 0}),
+            ("lime-ridge-negative", {"lime_ridge": -1}),
+            ("lime-num-samples-2", {"lime_num_samples": 2}),
+            ("lime-kernel-width-negative", {"lime_kernel_width": -1}),
+        )
+    ]
 )
 
 
