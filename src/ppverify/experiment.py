@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, PPVerifyError, check_field_types
-from .explain import EXACT, LimeConfig, ShapConfig
+from .explain import EXACT, LimeConfig, ShapConfig, model_probe, probe_plans
 from .ldp import PrivacyBudget, privatize
 from .membership import AttackConfig, mia_power
 # `train` is not called here; perfbench/spans.py wraps `experiment.train`.
@@ -195,7 +195,7 @@ def _eps_text(eps: float) -> str:
     return "inf" if math.isinf(float(eps)) else repr(float(eps))
 
 
-def _explainer_cfg(cfg: ExperimentConfig, background: Dataset, seed: int):
+def _explainer_cfg(cfg: ExperimentConfig, seed: int):
     if cfg.explainer == "lime":
         return LimeConfig(
             num_samples=cfg.lime_num_samples,
@@ -203,7 +203,7 @@ def _explainer_cfg(cfg: ExperimentConfig, background: Dataset, seed: int):
             ridge_strength=cfg.lime_ridge,
             seed=seed,
         )
-    return ShapConfig(background=background, coalition_budget=cfg.shap_budget, seed=seed)
+    return ShapConfig(coalition_budget=cfg.shap_budget, seed=seed)
 
 
 def _load_source(cfg: ExperimentConfig) -> Dataset | None:
@@ -227,11 +227,10 @@ def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, clo
 
     Pipelines apply and their training sets are checked in order; the
     models before the first failure then train together in one `train_many`
-    call and are explained in order, and the failure is raised last. A
-    failed stage therefore raises the error that training and explaining
-    one pipeline at a time would raise first.
+    call, are explained together (see `_explain_stage`), and the failure is
+    raised last. A failed stage therefore raises the error that training and
+    explaining one pipeline at a time would raise first.
     """
-    explain_seed = derive_seed(cfg.master_seed, "explain", trial)
     applied, failure = [], None  # (label, train set, query set, train config)
     for k, (pipe, label) in enumerate(pipelines):
         parts = [cfg.master_seed, stage, trial, k]
@@ -248,20 +247,42 @@ def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, clo
     t = time.perf_counter()
     fitted = train_many([a[1] for a in applied], [a[3] for a in applied])
     clock(f"{stage}_train", t)
-    out = {}
-    for (label, _, te, _), model in zip(applied, fitted):
-        background = te.take(bg_idx)
-        e_cfg = _explainer_cfg(cfg, background, explain_seed)
-        out[label.class_id] = build_responses(
-            model,
-            te,
-            e_cfg,
-            background=background,
-            model_tag=f"{stage}-{label.class_id}",
-        )
+    tags = [f"{stage}-{a[0].class_id}" for a in applied]
+    e_cfg = _explainer_cfg(cfg, derive_seed(cfg.master_seed, "explain", trial))
+    responses = _explain_stage(e_cfg, fitted, [a[2] for a in applied], bg_idx, tags)
     if failure is not None:
         raise failure
-    return out
+    return {a[0].class_id: r for a, r in zip(applied, responses)}
+
+
+def _explain_stage(e_cfg, fitted, query_sets, bg_idx, tags) -> list:
+    """Each model's responses to its query set, one probe plan chunk of
+    queries at a time, so that a chunk's draws are made once for every
+    model. A failing model stops its own and every later model's explaining,
+    and the first failure in model order is raised, as explaining one model
+    at a time would."""
+    probes, failure = [], None
+    for model, te in zip(fitted, query_sets):
+        try:
+            probes.append(model_probe(model, e_cfg, te.take(bg_idx), len(te.feature_indices)))
+        except PPVerifyError as exc:
+            failure = exc
+            break
+    responses, lime = [[] for _ in probes], isinstance(e_cfg, LimeConfig)
+    n, M = query_sets[0].feature_matrix().shape if probes else (0, 0)
+    for plan in probe_plans(e_cfg, n, M):
+        for i, probe in enumerate(probes):
+            bg = dataclasses.replace(probe, plan=plan)
+            m_cfg = e_cfg if lime else dataclasses.replace(e_cfg, background=bg)
+            try:
+                responses[i] += build_responses(fitted[i], query_sets[i], m_cfg, bg, tags[i])
+            except PPVerifyError as exc:
+                failure = exc
+                del probes[i:]
+                break
+    if failure is not None:
+        raise failure
+    return responses
 
 
 def _attack_groups(cfg: ExperimentConfig, train_d: Dataset, test_d: Dataset, trial: int):

@@ -7,6 +7,8 @@ independent brute-force oracle used to cross-check the Kernel SHAP solver.
 
 Models only need `predict(x) -> class index` and `predict_proba(X) -> (n, k)
 probabilities`; background data may be a Dataset or a plain feature matrix.
+A probe plan draws each query's perturbations or coalitions once for all the
+models of a stage (`probe_plans`, `model_probe`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .seeding import derive_seed
 
 #: Sentinel for ShapConfig.coalition_budget requesting full enumeration.
 EXACT = "exact"
@@ -28,6 +31,7 @@ EXACT_FEATURE_LIMIT = 16
 ORACLE_FEATURE_LIMIT = 10
 
 _PREDICT_CHUNK = 200_000  # rows per predict_proba call during marginalization
+_PLAN_CELLS = 1 << 16  # most drawn entries one probe plan chunk holds
 
 
 @dataclass(frozen=True)
@@ -89,37 +93,111 @@ def _as_matrix(background, M: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _Background:
+class ProbePlan:
+    """One chunk of a stage's queries: their global indices and explainer
+    seeds, and each draw that every model of the stage shares, under its
+    key (`_draw_key`). An explainer that finds no draw makes its own."""
+
+    rows: range
+    seeds: tuple
+    draws: dict
+
+
+@dataclass(frozen=True, eq=False)
+class Probe:
     """A background matrix with the setup that every query of one model
-    shares: the LIME per-feature spread, or the model a SHAP explanation
-    probes and its background probabilities. The explainers accept one
-    wherever they accept a background, and reuse the setup it holds."""
+    shares (the LIME per-feature spread, or the model a SHAP explanation
+    probes and its background probabilities) and the plan chunk whose draws
+    it reads. The explainers accept one wherever they accept a background."""
 
     matrix: np.ndarray
     sigma: np.ndarray | None = None
     model: object = None
     probs: np.ndarray | None = None
+    plan: ProbePlan | None = None
 
     def feature_matrix(self) -> np.ndarray:
         return self.matrix
 
+    def draw(self, key) -> tuple:
+        return (self.plan and self.plan.draws.get(key)) or _draw(key)
 
-def _lime_background(background, M: int) -> _Background:
+
+def model_probe(m, cfg, background, M: int) -> Probe:
+    """`background` set up for explaining `m` under `cfg`; a Probe that is
+    already set up so comes back as it is."""
     bg = _as_matrix(background, M)
-    if isinstance(background, _Background) and background.sigma is not None:
+    lime = isinstance(cfg, LimeConfig)
+    if isinstance(background, Probe) and (
+        background.sigma is not None if lime else background.model is m
+    ):
         return background
+    if not lime:
+        return Probe(bg, model=m, probs=m.predict_proba(bg))
     with np.errstate(invalid="ignore"):
-        sigma = np.array(
-            [c[~np.isnan(c)].std() if (~np.isnan(c)).any() else 0.0 for c in bg.T]
-        )
-    return _Background(bg, sigma=sigma)
+        sigma = np.array([c[~np.isnan(c)].std() if (~np.isnan(c)).any() else 0.0 for c in bg.T])
+    sigma.setflags(write=False)
+    return Probe(bg, sigma=sigma)
 
 
-def _shap_background(m, background, M: int) -> _Background:
-    bg = _as_matrix(background, M)
-    if isinstance(background, _Background) and background.model is m:
-        return background
-    return _Background(bg, model=m, probs=m.predict_proba(bg))
+def query_seeds(seed: int, rows) -> tuple:
+    """The explainer seed of each query in `rows`; it depends on the query
+    index alone, so every model sees the same draws for a query."""
+    return tuple(derive_seed(seed, "query", q) for q in rows)
+
+
+def probe_plans(cfg, n_queries: int, M: int):
+    """Yield the probe plan of `n_queries` queries of M features under `cfg`
+    in chunks of at most `_PLAN_CELLS` drawn entries (and at least one
+    query), freeing each chunk's draws before drawing the next."""
+    seeds = query_seeds(cfg.seed, range(n_queries))
+    try:
+        keys = [_draw_key(cfg, s, M) for s in seeds]
+    except ConfigError:  # the explainer raises it, in its own order
+        keys = [None] * n_queries
+    own = keys and keys[0] and keys[0][0] != "exact"  # exact SHAP shares one draw
+    step = max(1, _PLAN_CELLS // max(1, keys[0][2] * M) if own else n_queries)
+    for start in range(0, n_queries, step):
+        stop = min(n_queries, start + step)
+        draws = {k: _draw(k) for k in dict.fromkeys(keys[start:stop]) if k}
+        yield ProbePlan(range(start, stop), seeds[start:stop], draws)
+        draws.clear()
+
+
+def _draw_key(cfg, seed: int, M: int):
+    """What one query's draws depend on: ("lime", seed, samples, M),
+    ("shap", seed, budget, M) or ("exact", M). ConfigError for a budget
+    Kernel SHAP cannot use."""
+    if isinstance(cfg, LimeConfig):
+        return ("lime", seed, cfg.num_samples, M)
+    budget = cfg.coalition_budget
+    if budget == EXACT:
+        if M > EXACT_FEATURE_LIMIT:
+            raise ConfigError(
+                f"exact enumeration supports at most {EXACT_FEATURE_LIMIT} features, got {M}"
+            )
+        return ("exact", M)
+    if isinstance(budget, (int, np.integer)) and not isinstance(budget, bool):
+        if budget < M + 2:
+            raise ConfigError(f"coalition_budget must be at least {M + 2}, got {budget}")
+        return ("exact", M) if (1 << M) - 2 <= budget else ("shap", seed, int(budget), M)
+    raise ConfigError(f"coalition_budget must be a positive int or EXACT, got {budget!r}")
+
+
+def _draw(key) -> tuple:
+    """The read-only arrays `key` names: LIME's unit normal matrix, or Kernel
+    SHAP's coalition masks and kernel weights. Equal keys give equal draws."""
+    kind, M = key[0], key[-1]
+    if kind == "lime":
+        arrays = (np.random.default_rng(key[1]).standard_normal((key[2], M)),)
+    elif kind == "shap":
+        arrays = _sample_coalitions(M, key[2], np.random.default_rng(key[1]))
+    else:
+        masks = _masks_from_ints(np.arange(1, (1 << M) - 1, dtype=np.int64), M)
+        arrays = masks, _kernel_weight(M, masks.sum(axis=1))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _explained_class(m, x, override, n_classes) -> int:
@@ -155,7 +233,8 @@ def lime_explain(m, x, cfg: LimeConfig, background) -> Explanation:
     """
     x = np.asarray(x, dtype=float)
     M = x.size
-    sigma = _lime_background(background, M).sigma
+    prepared = model_probe(m, cfg, background, M)
+    sigma = prepared.sigma
     if cfg.num_samples < M + 2:
         raise ConfigError(f"num_samples must be at least {M + 2}, got {cfg.num_samples}")
     if (sigma == 0).any() and cfg.ridge_strength <= 0:
@@ -168,8 +247,8 @@ def lime_explain(m, x, cfg: LimeConfig, background) -> Explanation:
     if width <= 0:
         raise ConfigError("kernel_width must be positive")
 
-    rng = np.random.default_rng(cfg.seed)
-    Z = x + rng.standard_normal((cfg.num_samples, M)) * (cfg.perturbation_scale * sigma)
+    (N,) = prepared.draw(_draw_key(cfg, cfg.seed, M))
+    Z = x + N * (cfg.perturbation_scale * sigma)
     probs = m.predict_proba(Z)
     cls = _explained_class(m, x, cfg.explained_class, probs.shape[1])
     y = probs[:, cls]
@@ -190,7 +269,8 @@ def _masks_from_ints(ints: np.ndarray, M: int) -> np.ndarray:
 
 
 def _coalition_values(m, x, masks, bg, cls) -> np.ndarray:
-    """Mean model output with absent features replaced by background rows."""
+    """Mean model output with absent features replaced by background rows,
+    one value per coalition mask."""
     C = masks.shape[0]
     B = bg.shape[0]
     values = np.empty(C)
@@ -205,7 +285,7 @@ def _coalition_values(m, x, masks, bg, cls) -> np.ndarray:
 
 
 def _kernel_weight(M: int, sizes: np.ndarray) -> np.ndarray:
-    comb = np.array([math.comb(M, int(s)) for s in sizes], dtype=float)
+    comb = np.array([math.comb(M, s) for s in range(M + 1)], dtype=float)[sizes]
     return (M - 1) / (comb * sizes * (M - sizes))
 
 
@@ -232,7 +312,7 @@ def shap_explain(m, x, cfg: ShapConfig) -> Explanation:
     """
     x = np.asarray(x, dtype=float)
     M = x.size
-    prepared = _shap_background(m, cfg.background, M)
+    prepared = model_probe(m, cfg, cfg.background, M)
     bg, bg_probs = prepared.matrix, prepared.probs
     cls = _explained_class(m, x, cfg.explained_class, bg_probs.shape[1])
     f0 = float(bg_probs[:, cls].mean())
@@ -241,29 +321,7 @@ def shap_explain(m, x, cfg: ShapConfig) -> Explanation:
     if M == 1:
         return Explanation(np.array([fx - f0]), f0, cls, "shap")
 
-    budget = cfg.coalition_budget
-    total = (1 << M) - 2
-    if budget == EXACT:
-        if M > EXACT_FEATURE_LIMIT:
-            raise ConfigError(
-                f"exact enumeration supports at most {EXACT_FEATURE_LIMIT} features, got {M}"
-            )
-        exact = True
-    elif isinstance(budget, (int, np.integer)) and not isinstance(budget, bool):
-        if budget < M + 2:
-            raise ConfigError(f"coalition_budget must be at least {M + 2}, got {budget}")
-        exact = total <= budget
-    else:
-        raise ConfigError(f"coalition_budget must be a positive int or EXACT, got {budget!r}")
-
-    if exact:
-        ints = np.arange(1, (1 << M) - 1, dtype=np.int64)
-        masks = _masks_from_ints(ints, M)
-        weights = _kernel_weight(M, masks.sum(axis=1))
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        masks, weights = _sample_coalitions(M, int(budget), rng)
-
+    masks, weights = prepared.draw(_draw_key(cfg, cfg.seed, M))
     v = _coalition_values(m, x, masks, bg, cls)
 
     # eliminate the last attribution through the additivity constraint
@@ -296,18 +354,9 @@ def exact_shapley(m, x, background) -> np.ndarray:
     cls = _explained_class(m, x, None, m.predict_proba(bg).shape[1])
 
     n_masks = 1 << M
-    B = bg.shape[0]
     # value of every coalition, computed directly
-    values = np.empty(n_masks)
-    step = max(1, _PREDICT_CHUNK // B)
     all_ints = np.arange(n_masks, dtype=np.int64)
-    for start in range(0, n_masks, step):
-        ints = all_ints[start : start + step]
-        present = ((ints[:, None] >> np.arange(M)) & 1).astype(bool)
-        rep = np.repeat(present, B, axis=0)
-        X = np.where(rep, x, np.tile(bg, (ints.size, 1)))
-        p = m.predict_proba(X)[:, cls]
-        values[start : start + step] = p.reshape(ints.size, B).mean(axis=1)
+    values = _coalition_values(m, x, _masks_from_ints(all_ints, M), bg, cls)
 
     sizes = np.array([int(i).bit_count() for i in range(n_masks)])
     fact = [math.factorial(s) for s in range(M + 1)]

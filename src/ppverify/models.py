@@ -219,11 +219,6 @@ def _fit_logregs(problems, cfg: TrainConfig) -> list:
     ]
 
 
-def _fit_logreg(X, y_idx, feature_names, class_values, cfg: TrainConfig):
-    """One model trained on its own: the lockstep loop with one member."""
-    return _fit_logregs([(X, y_idx, feature_names, class_values)], cfg)[0]
-
-
 # ---------------------------------------------------------------------------
 # CART trees and random forests: one flat-array engine
 

@@ -17,16 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, json_field, read_json
-from .explain import (
-    LimeConfig,
-    _lime_background,
-    _shap_background,
-    lime_explain,
-    shap_explain,
-)
+from .explain import LimeConfig, lime_explain, model_probe, query_seeds, shap_explain
 from .models import Predictor, TrainConfig, model_from_payload, train
 from .preprocess import PipelineLabel
-from .seeding import derive_seed
 from .tabular import ColumnSchema, Dataset, KIND_CONTINUOUS, KIND_DISCRETE
 
 TASKS = ("binary", "multi")
@@ -125,7 +118,9 @@ def build_responses(
     background=None,
     model_tag: str = "",
 ) -> list:
-    """One ResponseVector per query row.
+    """One ResponseVector per query row, or per row of the probe plan chunk
+    that the background (the config's, for SHAP) holds, when it is a Probe
+    with a plan; query indices are global either way.
 
     `explainer_cfg` selects the explainer by type (LimeConfig or ShapConfig).
     Each query explains under a seed derived from the config seed and the row
@@ -140,18 +135,20 @@ def build_responses(
         raise DataError("queries contain missing cells")
     is_lime = isinstance(explainer_cfg, LimeConfig)
     # per-model setup, shared by every query
+    probe = model_probe(
+        m, explainer_cfg, background if is_lime else explainer_cfg.background, X.shape[1]
+    )
     if is_lime:
-        background = _lime_background(background, X.shape[1])
+        background = probe
     else:
-        explainer_cfg = replace(
-            explainer_cfg,
-            background=_shap_background(m, explainer_cfg.background, X.shape[1]),
-        )
+        explainer_cfg = replace(explainer_cfg, background=probe)
+    rows = probe.plan.rows if probe.plan else range(X.shape[0])
+    seeds = probe.plan.seeds if probe.plan else query_seeds(explainer_cfg.seed, rows)
 
     out = []
-    for q in range(X.shape[0]):
+    for q, seed in zip(rows, seeds):
         x = X[q]
-        qcfg = replace(explainer_cfg, seed=derive_seed(explainer_cfg.seed, "query", q))
+        qcfg = replace(explainer_cfg, seed=seed)
         if is_lime:
             expl = lime_explain(m, x, qcfg, background)
         else:
@@ -195,7 +192,7 @@ def _reference_lookup(reference) -> dict:
     for rv in reference:
         if rv.query_index in ref:
             raise DataError(f"reference repeats query index {rv.query_index}")
-        ref[rv.query_index] = rv.vector
+        ref[rv.query_index] = rv
     if not ref:
         raise DataError("reference response list is empty")
     return ref
@@ -210,13 +207,24 @@ def _query_distances(reference, responses) -> list:
             raise DataError(
                 f"response for query {rv.query_index} has no reference counterpart"
             )
-        dists.append(cosine_distance(ref[rv.query_index], rv.vector))
+        dists.append(_distance(ref[rv.query_index], rv, f"query {rv.query_index}"))
     return dists
 
 
-def _concatenated(responses) -> np.ndarray:
+def _distance(a: ResponseVector, b: ResponseVector, queries: str) -> float:
+    """cosine_distance of two models' responses to `queries`, naming a model
+    whose response has zero norm."""
+    for rv in (a, b):
+        if float(np.linalg.norm(rv.vector)) == 0.0:
+            raise DataError(f"model {rv.model_tag!r} responds to {queries} with a zero "
+                            "vector; cosine distance is undefined for zero vectors")
+    return cosine_distance(a.vector, b.vector)
+
+
+def _concatenated(responses) -> ResponseVector:
+    """One model's responses in query order, joined into one vector."""
     ordered = sorted(responses, key=lambda rv: rv.query_index)
-    return np.concatenate([rv.vector for rv in ordered])
+    return ResponseVector(np.concatenate([rv.vector for rv in ordered]), -1, ordered[0].model_tag)
 
 
 def _per_model_distances(reference, data: LabeledResponseSet):
@@ -233,7 +241,7 @@ def _per_model_distances(reference, data: LabeledResponseSet):
     for tag, responses in groups.items():
         if sorted(rv.query_index for rv in responses) != sorted(ref):
             raise DataError(f"model tag {tag!r} does not cover the reference query set")
-        dists.append(cosine_distance(ref_concat, _concatenated(responses)))
+        dists.append(_distance(ref_concat, _concatenated(responses), "every query"))
         classes.append(data.training_class(group_labels[tag]))
     return np.array(dists), np.array(classes)
 
@@ -334,7 +342,8 @@ def classify(
         if reference is None:
             raise ConfigError("the threshold verifier needs the reference responses")
         if verifier.granularity == "concatenated":
-            dists = [cosine_distance(_concatenated(reference), _concatenated(target_responses))]
+            joined = _concatenated(target_responses)
+            dists = [_distance(_concatenated(reference), joined, "every query")]
         else:
             dists = _query_distances(reference, target_responses)
         classes = [_threshold_class(verifier, d) for d in dists]

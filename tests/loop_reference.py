@@ -2,7 +2,7 @@
 full loss and gradient at every step, and the Kernel SHAP coalition sampler
 that builds each bitmask with numpy.
 
-`ppverify.models._fit_logreg` and `ppverify.explain._sample_coalitions`
+`ppverify.models._fit_logregs` and `ppverify.explain._sample_coalitions`
 must reproduce these bit for bit; the property tests compare them on random
 inputs.
 """

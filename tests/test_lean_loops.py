@@ -1,16 +1,20 @@
-"""The lean logistic regression loop, the coalition sampler and the
-per-model explainer setup of `build_responses`, each against the code it
-replaced: results must match bit for bit."""
+"""The lean logistic regression loop, the coalition sampler, the
+per-model explainer setup of `build_responses` and the stage-wide probe plan,
+each against the code it replaced: results must match bit for bit."""
 
 from dataclasses import replace
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import loop_reference as ref
 from conftest import build_dataset
-from ppverify import models
+from ppverify import experiment, explain, models
+from ppverify.errors import DataError
 from ppverify.explain import (
     EXACT,
     LimeConfig,
@@ -43,7 +47,8 @@ def test_logreg_params_equal_the_reference_bit_for_bit(
     X = rng.standard_normal((n, d)) * scale
     y_idx = rng.integers(0, k, size=n)
     cfg = TrainConfig(learning_rate=learning_rate, iterations=iterations, l2=l2)
-    m = models._fit_logreg(X, y_idx, [f"f{j}" for j in range(d)], np.arange(k, dtype=float), cfg)
+    problem = (X, y_idx, [f"f{j}" for j in range(d)], np.arange(k, dtype=float))
+    m = models._fit_logregs([problem], cfg)[0]
     got = np.vstack([m.weights, m.bias])
     want = ref.fit_logreg(X, y_idx, k, learning_rate, iterations, l2)
     assert np.array_equal(got, want, equal_nan=True)
@@ -119,3 +124,94 @@ def test_build_responses_equals_per_query_explainer_calls():
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), (arch, cfg)
             if isinstance(cfg, ShapConfig):
                 assert counted.background_calls == 1  # once per model, not per query
+
+
+@lru_cache(maxsize=None)
+def _stage():
+    """A stage of three models (two architectures) with their query sets: the
+    second model sees its queries shifted, as a pipeline that standardizes
+    would; the raw query rows 0, 2 and 5 are the background."""
+    rng = np.random.default_rng(11)
+    train_set, queries = _table(rng, 120, 5), _table(rng, 9, 5)
+    shifted = queries.with_values(queries.values + np.r_[0.5 * np.ones(5), 0.0])
+    fitted = [
+        train(train_set, TrainConfig(architecture=arch, seed=seed, iterations=50, n_trees=5))
+        for arch, seed in (("logreg", 3), ("rforest", 3), ("rforest", 4))
+    ]
+    return fitted, [queries, shifted, queries], np.array([0, 2, 5])
+
+
+STAGE_CONFIGS = [
+    LimeConfig(num_samples=40, seed=11),  # 200 cells a query
+    ShapConfig(coalition_budget=20, seed=11),  # sampled: 30 proper coalitions of 5
+    ShapConfig(coalition_budget=EXACT, seed=11),
+]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    cfg=st.sampled_from(STAGE_CONFIGS),
+    plan_cells=st.integers(1, 1200),
+    n_queries=st.integers(1, 9),
+)
+def test_a_chunked_stage_equals_per_query_explainer_calls(cfg, plan_cells, n_queries):
+    fitted, query_sets, bg_idx = _stage()
+    query_sets = [te.take(range(n_queries)) for te in query_sets]
+    bg_idx = bg_idx[bg_idx < n_queries]
+    calls, draws = [], []
+
+    def counted_build(*args, **kwargs):
+        out = build_responses(*args, **kwargs)
+        calls.append([rv.query_index for rv in out])
+        return out
+
+    def counted_draw(key):
+        draws.append(key)
+        return draw(key)
+
+    draw = explain._draw
+    with mock.patch.object(explain, "_PLAN_CELLS", plan_cells), \
+            mock.patch.object(explain, "_draw", counted_draw), \
+            mock.patch.object(experiment, "build_responses", counted_build):
+        got = experiment._explain_stage(cfg, fitted, query_sets, bg_idx, ["a", "b", "c"])
+
+    for m, te, tag, responses in zip(fitted, query_sets, "abc", got, strict=True):
+        background = te.take(bg_idx)
+        m_cfg = cfg if isinstance(cfg, LimeConfig) else replace(cfg, background=background)
+        want = _per_query_vectors(m, te, m_cfg, background)
+        assert all(np.array_equal(rv.vector, w) for rv, w in zip(responses, want, strict=True))
+        assert [rv.query_index for rv in responses] == list(range(n_queries))
+        assert {rv.model_tag for rv in responses} == {tag}
+    # one build_responses call per model and chunk, with global query indices
+    per_query = 200 if isinstance(cfg, LimeConfig) else 0 if cfg.coalition_budget == EXACT else 100
+    step = max(1, plan_cells // per_query) if per_query else n_queries
+    chunks = [list(range(q, min(q + step, n_queries))) for q in range(0, n_queries, step)]
+    assert calls == [c for c in chunks for _ in fitted]
+    # each query's draws are made once for the whole stage
+    assert len(draws) == (1 if per_query == 0 else n_queries) == len(set(draws))
+
+
+class FailsOnQuery:
+    """A model that raises DataError when asked to explain query `row`."""
+
+    def __init__(self, model, row, name):
+        self.model, self.row, self.name = model, row, name
+
+    def predict_proba(self, X):
+        return self.model.predict_proba(X)
+
+    def predict(self, x):
+        if np.array_equal(x, self.row):
+            raise DataError(f"{self.name} failed")
+        return self.model.predict(x)
+
+
+def test_a_chunked_stage_raises_the_first_failure_in_model_order():
+    # model 0 fails on query 3 (a late chunk), model 1 on query 0 (the first
+    # chunk); one model at a time would meet model 0's failure first
+    fitted, query_sets, bg_idx = _stage()
+    X = query_sets[0].feature_matrix()
+    models_ = [FailsOnQuery(fitted[0], X[3], "model 0"), FailsOnQuery(fitted[2], X[0], "model 2")]
+    cfg = LimeConfig(num_samples=40, seed=11)
+    with mock.patch.object(explain, "_PLAN_CELLS", 200), pytest.raises(DataError, match="model 0"):
+        experiment._explain_stage(cfg, models_, [query_sets[0]] * 2, bg_idx, ["a", "b"])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ppverify.cli import main
+from ppverify.errors import DataError
 from ppverify.models import TrainConfig
 from ppverify.preprocess import PipelineLabel
 from ppverify.verify import (
@@ -196,3 +197,39 @@ def test_malformed_file_is_a_config_or_data_error(tmp_path, capsys, command, tex
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "data error: "), err
+
+
+ZERO_ROW_TARGET = "a,intercept,yhat\n0.5,0.4,1.0\n0.0,0.0,0.0\n0.6,0.5,1.0\n0.5,0.4,1.0\n"
+ZERO_ROW_ERROR = (
+    "model 'target' responds to query 1 with a zero vector; "
+    "cosine distance is undefined for zero vectors"
+)
+
+
+def test_cli_verify_names_the_query_and_model_of_a_zero_response(tmp_path, capsys):
+    verifier, target = tmp_path / "threshold.json", tmp_path / "target.csv"
+    verifier.write_bytes(GOLDEN["threshold"].encode())
+    target.write_text(ZERO_ROW_TARGET, encoding="utf-8")
+    responses_to_csv(responses(0), ("a",), str(tmp_path / "r0.csv"))
+    capsys.readouterr()
+    argv = ["verify", "--verifier", str(verifier), "--target", str(target),
+            "--reference", str(tmp_path / "r0.csv")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.strip() == f"data error: {ZERO_ROW_ERROR}"
+
+
+def test_classify_and_fit_name_the_query_and_model_of_a_zero_response():
+    verifier = fit("threshold")[0]
+    target = [ResponseVector(np.array(v), q, "target") for q, v in enumerate(VECTORS[2])]
+    target[1] = ResponseVector(np.zeros(3), 1, "target")
+    with pytest.raises(DataError) as exc:
+        classify(verifier, target, reference=responses(0))
+    assert str(exc.value) == ZERO_ROW_ERROR
+    # a model whose every response is zero, under concatenated granularity
+    zero = [ResponseVector(np.zeros(3), q, "m1") for q in range(4)]
+    data = LabeledResponseSet.from_models(
+        [(PipelineLabel(0, True, ()), responses(0)), (PipelineLabel(1, False, None), zero)],
+        "binary",
+    )
+    with pytest.raises(DataError, match=r"^model 'm1' responds to every query with a zero"):
+        fit_threshold_verifier(responses(0), data, "concatenated")
