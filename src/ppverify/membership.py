@@ -44,32 +44,6 @@ class AttackResult:
     control_distances: np.ndarray
 
 
-def _column_grids(released: Dataset):
-    """Snap grids for sample cells: continuous columns quantize to the
-    released column's observed values, discrete and categorical cells compare
-    exactly and get no grid."""
-    grids = []
-    for j, col_schema in enumerate(released.schema):
-        if col_schema.kind != KIND_CONTINUOUS:
-            grids.append(None)
-            continue
-        col = released.column(j)
-        observed = col[~np.isnan(col)]
-        grids.append(np.unique(observed) if observed.size else None)
-    return grids
-
-
-def _snap_matrix(X: np.ndarray, grids) -> np.ndarray:
-    """Snap each observed cell of a gridded column to its nearest grid value."""
-    out = np.array(X, copy=True)
-    for j, grid in enumerate(grids):
-        if grid is not None:
-            column = out[:, j]
-            observed = ~np.isnan(column)
-            column[observed] = snap_to_nearest(column[observed], grid)
-    return out
-
-
 def _check_schema(sample: Dataset, released: Dataset, role: str) -> None:
     names = tuple(c.name for c in sample.schema)
     released_names = tuple(c.name for c in released.schema)
@@ -79,16 +53,27 @@ def _check_schema(sample: Dataset, released: Dataset, role: str) -> None:
         )
 
 
-def _distances(samples: np.ndarray, released_q: np.ndarray, grids) -> np.ndarray:
-    """Minimum Hamming distance of each sample row to the released rows."""
-    S = _snap_matrix(samples, grids)
-    out = np.empty(S.shape[0], dtype=int)
-    for start in range(0, S.shape[0], _CHUNK_ROWS):
-        block = S[start : start + _CHUNK_ROWS]  # (b, c)
-        eq = (block[:, None, :] == released_q[None, :, :]) | (
-            np.isnan(block)[:, None, :] & np.isnan(released_q)[None, :, :]
-        )
-        out[start : start + _CHUNK_ROWS] = (~eq).sum(axis=2).min(axis=1)
+def _distances(samples: np.ndarray, released: Dataset) -> np.ndarray:
+    """Minimum Hamming distance of each sample row to the released rows.
+
+    In continuous columns, observed cells of both tables first snap to the
+    released column's observed values. Cells then compare as per-column
+    integer codes: -0.0 shares the code of 0.0, and all missing cells share
+    one code.
+    """
+    m, codes = samples.shape[0], []
+    for col, schema in zip(np.vstack([samples, released.values]).T, released.schema):
+        observed = ~np.isnan(col)
+        if schema.kind == KIND_CONTINUOUS and observed[m:].any():
+            col[observed] = snap_to_nearest(col[observed], np.unique(col[m:][observed[m:]]))
+        codes.append(np.unique(col, return_inverse=True, equal_nan=True)[1])
+    out = np.empty(m, dtype=int)
+    for a in range(0, m, _CHUNK_ROWS):
+        b = min(a + _CHUNK_ROWS, m)
+        mismatches = np.zeros((b - a, released.n_rows), dtype=np.int16)
+        for code in codes:
+            mismatches += code[a:b, None] != code[m:]
+        out[a:b] = mismatches.min(axis=1)
     return out
 
 
@@ -101,9 +86,7 @@ def min_hamming(sample_row: np.ndarray, released: Dataset) -> int:
         )
     if released.n_rows == 0:
         raise DataError("released dataset is empty")
-    grids = _column_grids(released)
-    released_q = _snap_matrix(released.values, grids)
-    return int(_distances(row[None, :], released_q, grids)[0])
+    return int(_distances(row[None, :], released)[0])
 
 
 def mia_power(released: Dataset, cfg: AttackConfig) -> AttackResult:
@@ -120,10 +103,8 @@ def mia_power(released: Dataset, cfg: AttackConfig) -> AttackResult:
     if cfg.case_group.n_rows == 0 or cfg.control_group.n_rows == 0:
         raise DataError("case and control groups must be non-empty")
 
-    grids = _column_grids(released)
-    released_q = _snap_matrix(released.values, grids)
-    case_d = _distances(cfg.case_group.values, released_q, grids)
-    control_d = _distances(cfg.control_group.values, released_q, grids)
+    both = np.vstack([cfg.case_group.values, cfg.control_group.values])
+    case_d, control_d = np.split(_distances(both, released), [cfg.case_group.n_rows])
 
     gamma = float(np.quantile(control_d, cfg.target_fpr, method="lower"))
     power = float(np.mean(case_d < gamma))

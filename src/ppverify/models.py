@@ -228,6 +228,9 @@ _PREDICT_CELLS = 1 << 16
 #: Most bootstrap rows that one level-synchronous growth holds at once; a
 #: forest whose trees x rows exceeds it grows in batches of trees.
 _GROW_SAMPLES = 1 << 13
+#: Most candidate slots x samples that one pass of split search holds at
+#: once; a level with more is searched in batches of slots.
+_SPLIT_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -249,9 +252,18 @@ class _Trees:
     depth: int
 
 
-def _gini_from_counts(counts: np.ndarray, total) -> np.ndarray:
-    p = counts / np.maximum(total, 1)
-    return 1.0 - np.sum(p * p, axis=-1)
+def _gini_columns(columns, total, k: int) -> np.ndarray:
+    """Gini impurity of rows over `total` samples from their `k` class-count
+    columns, equal to `1 - np.sum(p * p, axis=-1)` bit for bit: numpy sums
+    fewer than 8 numbers left to right, as the running column here does,
+    and more pairwise, so from 8 classes on numpy sums the stacked squares."""
+    t = np.maximum(total, 1)
+    wide = k >= 8
+    sq = np.zeros((t.size, k if wide else 1))
+    for c, col in enumerate(columns):
+        p = col / t
+        sq[:, c if wide else 0] += p * p
+    return 1.0 - sq.sum(axis=-1)
 
 
 def _best_splits(X, value_rank, srow, snode, sy, size, counts, cand, min_leaf):
@@ -266,46 +278,63 @@ def _best_splits(X, value_rank, srow, snode, sy, size, counts, cand, min_leaf):
     Per candidate the lowest weighted Gini wins, ties to the lowest
     threshold; a later candidate replaces an earlier one only when it is
     lower by more than 1e-15. Growth is therefore deterministic.
+
+    All candidate slots are scored together, in batches of at most
+    `_SPLIT_CELLS` slots x samples sorted by node, then value.
     """
-    L, k = counts.shape
-    best_g = np.full(L, np.inf)
-    best_f = np.full(L, -1)
-    best_t = np.zeros(L)
+    (L, k), N = counts.shape, srow.size
+    best_g, best_f, best_t = np.full(L, np.inf), np.full(L, -1), np.zeros(L)
     n_open = np.bincount(snode, minlength=L)
-    first = np.cumsum(n_open) - n_open  # each node's first sorted position
-    for slot in range(cand.shape[1]):
-        f = cand[snode, slot]
-        rank = value_rank[f, srow]
-        order = np.argsort(snode * value_rank.shape[1] + rank)  # by node, then value
-        sn, sr = snode[order], rank[order]
-        b = np.flatnonzero((sn[:-1] == sn[1:]) & (sr[:-1] < sr[1:]))  # split after b
-        node = sn[b]
-        left_n = b + 1 - first[node]
-        right_n = size[node] - left_n
-        ok = (left_n >= min_leaf) & (right_n >= min_leaf)
-        b, node, left_n, right_n = b[ok], node[ok], left_n[ok], right_n[ok]
-        if b.size == 0:
+    node_at = np.repeat(np.arange(L), n_open)  # node of sorted position p, in every slot
+    left_at = np.arange(1, N + 1) - np.repeat(np.cumsum(n_open) - n_open, n_open)  # left size
+    valid_at = (left_at >= min_leaf) & (size[node_at] - left_at >= min_leaf)
+    per = max(1, _SPLIT_CELLS // max(N, 1))
+    for s0 in range(0, cand.shape[1], per):
+        slots = cand[:, s0 : s0 + per]
+        S = slots.shape[1]
+        key = value_rank[slots[snode].T, srow] + snode * value_rank.shape[1]  # (S, N)
+        order = np.argsort(key, axis=1)
+        key = np.take_along_axis(key, order, axis=1)
+        split = np.zeros((S, N), dtype=bool)  # split after flat position s * N + p
+        np.not_equal(key[:, :-1], key[:, 1:], out=split[:, :-1])
+        end = np.flatnonzero(split & valid_at) + 1  # flat end of each left child
+        if end.size == 0:
             continue
-        sorted_y = sy[order]
-        cum = np.zeros((order.size + 1, k), dtype=np.int64)  # class counts before i
-        for c in range(k):
-            np.cumsum(sorted_y == c, out=cum[1:, c])
-        left_counts = cum[b + 1] - cum[first[node]]
-        right_counts = counts[node] - left_counts
-        gini = (
-            left_n * _gini_from_counts(left_counts, left_n[:, None])
-            + right_n * _gini_from_counts(right_counts, right_n[:, None])
-        ) / size[node]
-        # first minimum of each node's run of boundaries
-        head = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
-        low = np.minimum.reduceat(gini, head)
-        hit = np.flatnonzero(gini == np.repeat(low, np.diff(np.r_[head, gini.size])))
-        hit = hit[np.r_[True, node[hit[1:]] != node[hit[:-1]]]]
-        win = low < best_g[node[head]] - 1e-15
-        j, pos = node[head][win], b[hit][win]
-        best_g[j] = low[win]
-        best_f[j] = cand[j, slot]
-        lo, hi = srow[order[pos]], srow[order[pos + 1]]
+        pos = (end - 1) % N  # sorted position of each split
+        node, left_n = node_at[pos], left_at[pos]
+        right_n, run = size[node] - left_n, end - left_n  # run: the node's flat start
+        sorted_y, cum = sy[order].ravel(), np.zeros(S * N + 1, dtype=np.int64)
+        bits = (S * N).bit_length()  # holds any class count; 63 // bits share an int64
+
+        def class_columns():  # left counts of 63 // bits classes per packed cumsum
+            for c0 in range(0, k, 63 // bits):
+                c1 = min(k, c0 + 63 // bits)
+                weight = np.zeros(k, dtype=np.int64)
+                weight[c0:c1] = 1 << bits * np.arange(c1 - c0)
+                np.cumsum(weight[sorted_y], out=cum[1:])
+                packed = cum[end] - cum[run]
+                for c in range(c0, c1):
+                    left = (packed >> bits * (c - c0)) & ((1 << bits) - 1)
+                    yield np.concatenate([left, counts[node, c] - left])
+
+        g = _gini_columns(class_columns(), np.concatenate([left_n, right_n]), k)
+        gini = (left_n * g[: end.size] + right_n * g[end.size :]) / size[node]
+        # first minimum of each (slot, node) run of boundaries
+        head = np.ones(end.size, dtype=bool)
+        np.not_equal(run[1:], run[:-1], out=head[1:])
+        starts, nth = np.flatnonzero(head), np.cumsum(head) - 1
+        low = np.minimum.reduceat(gini, starts)
+        sj = run[starts] // N, node[starts]  # (slot, node) of each run
+        low_sj, end_sj = np.full((S, L), np.inf), np.zeros((S, L), dtype=np.int64)
+        low_sj[sj] = low
+        end_sj[sj] = np.minimum.reduceat(np.where(gini == low[nth], end, S * N), starts)
+        src = np.full(L, -1)  # the slot of this batch each node's best split is in
+        for s, low_s in enumerate(low_sj):
+            win = low_s < best_g - 1e-15
+            best_g, src = np.where(win, low_s, best_g), np.where(win, s, src)
+        j = np.flatnonzero(src >= 0)
+        best_f[j], e = slots[j, src[j]], end_sj[src[j], j]
+        lo, hi = srow[order.flat[e - 1]], srow[order.flat[e]]
         best_t[j] = 0.5 * (X[lo, best_f[j]] + X[hi, best_f[j]])
     return best_f, best_t
 

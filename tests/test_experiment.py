@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -393,3 +394,37 @@ def test_run_meta_times_each_stage_training_and_other_files_rerun_identically(tm
     assert set(paths[0]) == set(paths[1])
     for key in set(paths[0]) - {"run_meta"}:
         assert open(paths[0][key], "rb").read() == open(paths[1][key], "rb").read(), key
+
+
+def _write_mixed_csv(path):
+    """A mixed-type table with missing cells, signed zeros and repeated rows."""
+    rng = np.random.default_rng(12)
+    regions = ("north", "south", "east", "west")
+    lines = ["region,visits,c0,c1,label"]
+    for i in range(180):
+        label = int(rng.integers(0, 2))
+        cells = [
+            regions[int(rng.integers(0, 4)) if label else int(rng.integers(0, 2))],
+            str(int(rng.poisson(2 + 3 * label))),
+            f"{rng.normal(label, 1.0):.1f}",
+            rng.choice(["0.0", "-0.0", f"{rng.normal(-label, 1.0):.2f}"]),
+        ]
+        if i % 23 == 5:
+            cells[int(rng.integers(0, 4))] = rng.choice(["", "?"])
+        lines.append(",".join(cells + [str(label)]))
+        if i % 17 == 3:
+            lines.append(lines[-1])
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_attack_csv_bytes_are_pinned(tmp_path):
+    # results.csv hashes do not cover the attack; this pins attack.csv of a
+    # mixed-type source (categorical, discrete, continuous, missing cells,
+    # -0.0 next to 0.0) to the bytes the broadcast Hamming distances wrote
+    cfg = tiny_config(source="csv", csv_path=_write_mixed_csv(tmp_path / "mixed.csv"),
+                      synthetic=None, architecture="dtree", epsilon_grid=(0.5, 5.0, math.inf),
+                      query_count=3, lime_num_samples=40, attack_group_size=40)
+    path = emit_report(run_experiment(cfg), str(tmp_path / "out"))["attack"]
+    digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    assert digest == "c5c9c026d604a38b3ff9c679f3b1cd871130b47a60736e7ce4f75fae52e8f2ec"

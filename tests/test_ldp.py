@@ -2,10 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import build_dataset
 from ppverify.errors import ConfigError
-from ppverify.ldp import INFINITE, LaplaceParams, PrivacyBudget, laplace_sample, privatize, snap
+from ppverify.ldp import (
+    INFINITE,
+    LaplaceParams,
+    PrivacyBudget,
+    laplace_sample,
+    privatize,
+    snap,
+    snap_to_nearest,
+)
 from ppverify.tabular import (
     ColumnSchema,
     Dataset,
@@ -141,3 +151,16 @@ def test_categorical_column_snaps_to_observed_codes():
     d = Dataset(schema, vals)
     out = privatize(d, PrivacyBudget(0.3), seed=21)
     assert set(np.unique(out.values[:, 0])) <= {0.0, 3.0}  # codes 1, 2 never observed
+
+
+_GRID_VALUES = st.one_of(st.integers(-6, 6).map(lambda v: v / 2.0),  # ties at the midpoints
+                         st.floats(-1e6, 1e6, allow_nan=False), st.just(-0.0))
+
+
+@given(grid=st.lists(_GRID_VALUES, min_size=1, max_size=12),
+       values=st.lists(_GRID_VALUES, min_size=1, max_size=20))
+def test_snap_to_nearest_is_idempotent(grid, values):
+    grid = np.sort(np.array(grid + grid[:3]))  # duplicated grid entries
+    once = snap_to_nearest(np.array(values), grid)
+    assert np.isin(once, grid).all()
+    assert np.array_equal(snap_to_nearest(once, grid), once)

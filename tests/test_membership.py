@@ -1,10 +1,22 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_dataset
+from ppverify import membership
 from ppverify.errors import ConfigError, DataError
 from ppverify.membership import AttackConfig, AttackResult, mia_power, min_hamming
-from ppverify.tabular import KIND_DISCRETE
+from ppverify.tabular import (
+    KIND_CATEGORICAL,
+    KIND_CONTINUOUS,
+    KIND_DISCRETE,
+    ColumnSchema,
+    Dataset,
+)
 
 
 def grid_dataset(rows):
@@ -121,3 +133,62 @@ def test_mia_fpr_must_be_a_rate():
         AttackConfig(released, released, 0.0)
     with pytest.raises(ConfigError):
         AttackConfig(released, released, 1.0)
+
+
+# per kind, the cells a released column may hold, and the extra cells a
+# sample may hold besides: NaN, -0.0 next to 0.0, and off-grid values
+_CELLS = {
+    KIND_CONTINUOUS: ([math.nan, -0.0, 0.0, 0.5, 1.0, 2.0, 2.5, -1.0],
+                      [0.2, 0.75, 1.5, 2.25, 3.0, -2.0, -0.5]),
+    KIND_DISCRETE: ([math.nan, -0.0, 0.0, 1.0, 2.0, 3.0, -1.0], [4.0, -2.0]),
+    KIND_CATEGORICAL: ([math.nan, -0.0, 0.0, 1.0, 2.0, 3.0], []),
+}
+
+
+def reference_distances(samples, released, kinds):
+    """Minimum Hamming distance per sample row, one (row, released row) pair
+    at a time: continuous cells first move to the nearest value the released
+    column holds (ties toward the smaller), and two missing cells match."""
+
+    def snap(v, column):
+        observed = [x for x in column if not math.isnan(x)]
+        if math.isnan(v) or not observed:
+            return v
+        return min(observed, key=lambda g: (abs(v - g), g))
+
+    def same(a, b):
+        return (math.isnan(a) and math.isnan(b)) or a == b
+
+    out = []
+    for row in samples:
+        row = [snap(v, [r[j] for r in released]) if kinds[j] == KIND_CONTINUOUS else v
+               for j, v in enumerate(row)]
+        out.append(min(sum(not same(a, b) for a, b in zip(row, rel)) for rel in released))
+    return out
+
+
+@st.composite
+def attack_tables(draw):
+    """Small released and sample tables over mixed column kinds, with repeats."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
+
+    def rows(extra, most):
+        cells = [st.sampled_from(_CELLS[kind][0] + (_CELLS[kind][1] if extra else []))
+                 for kind in kinds]
+        return draw(st.lists(st.tuples(*cells).map(list), min_size=1, max_size=most))
+
+    released = rows(False, 12)
+    samples = rows(True, 20) + draw(st.lists(st.sampled_from(released), max_size=4))
+    return kinds, released, samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables=attack_tables(), chunk=st.integers(1, 5))
+def test_distances_equal_a_per_pair_reference(tables, chunk):
+    kinds, released, samples = tables
+    schema = [ColumnSchema(f"c{j}", kind, ("a", "b", "c", "d") if kind == KIND_CATEGORICAL
+                           else (), j == 0) for j, kind in enumerate(kinds)]
+    dataset = Dataset(schema, np.array(released, dtype=float))
+    with mock.patch.object(membership, "_CHUNK_ROWS", chunk):  # blocks cross rows
+        got = membership._distances(np.array(samples, dtype=float), dataset)
+    assert got.tolist() == reference_distances(samples, released, kinds)

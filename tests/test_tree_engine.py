@@ -4,6 +4,7 @@ validation of tree payloads at the model-file boundary."""
 import copy
 import json
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,6 +64,49 @@ def test_engine_predictions_equal_the_reference_bit_for_bit(problem, probe_seed)
     probes = np.random.default_rng(probe_seed).integers(-1, 11, size=(30, X.shape[1])) / 2.0
     Q = np.vstack([X, probes])
     assert np.array_equal(model.predict_proba(Q), reference_proba(X, y, k, cfg, Q))
+
+
+@st.composite
+def many_class_problems(draw):
+    """Like `tree_problems`, with 7 to 15 classes: numpy sums 8 or more
+    squared shares pairwise, so both Gini paths of the engine are drawn."""
+    k = draw(st.sampled_from([7, 8, 9, 15]))
+    n = draw(st.integers(k, 60))
+    d = draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(st.integers(0, 6), min_size=n * d, max_size=n * d)),
+                 dtype=float).reshape(n, d)
+    y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    y[:k] = np.arange(k)  # every class occurs
+    cfg = TrainConfig(
+        architecture=draw(st.sampled_from(["dtree", "rforest"])),
+        seed=draw(st.integers(0, 2**16)),
+        max_depth=draw(st.integers(1, 6)),
+        min_leaf=draw(st.integers(1, 3)),
+        n_trees=draw(st.integers(1, 4)),
+        n_features=draw(st.one_of(st.none(), st.integers(1, d))),
+        bootstrap=draw(st.booleans()),
+    )
+    return X, y, k, cfg
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=many_class_problems(), cells=st.sampled_from([1, 16, 64, 256]))
+def test_many_class_predictions_equal_the_reference_in_slot_batches(problem, cells):
+    X, y, k, cfg = problem
+    with mock.patch.object(models, "_SPLIT_CELLS", cells):  # a level spans batches
+        model = train(build_dataset(np.column_stack([X, y])), cfg)
+    assert np.array_equal(model.predict_proba(X), reference_proba(X, y, k, cfg, X))
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_column_gini_equals_the_row_sum_bit_for_bit(k):
+    # pins the summation order the column-wise Gini relies on: left to right
+    # below 8 classes, numpy's own row sum from 8 on
+    rng = np.random.default_rng(k)
+    counts = rng.integers(0, 40, size=(500, k)) * (rng.random((500, k)) < 0.7)
+    total = counts.sum(axis=1)
+    want = ref._gini_from_counts(counts, total[:, None])
+    assert np.array_equal(models._gini_columns(counts.T, total, k), want)
 
 
 def seed_payload(arch, trees, d, k):
