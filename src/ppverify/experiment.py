@@ -258,28 +258,34 @@ def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, clo
 def _explain_stage(e_cfg, fitted, query_sets, bg_idx, tags) -> list:
     """Each model's responses to its query set, one probe plan chunk of
     queries at a time, so that a chunk's draws are made once for every
-    model. A failing model stops its own and every later model's explaining,
-    and the first failure in model order is raised, as explaining one model
-    at a time would."""
-    probes, failure = [], None
-    for model, te in zip(fitted, query_sets):
+    model. Under LIME, models with byte-equal query matrices share a probe,
+    and a chunk is explained one such group at a time, each query's geometry
+    built once per group. A failing model stops its own and every later
+    model's explaining, and the first failure in model order is raised, as
+    explaining one model at a time would."""
+    lime, groups, failure, live = isinstance(e_cfg, LimeConfig), {}, None, len(fitted)
+    n, M = query_sets[0].feature_matrix().shape if fitted else (0, 0)
+    for i, (model, te) in enumerate(zip(fitted, query_sets)):
+        X = te.feature_matrix()
+        key = (X.shape, X.tobytes()) if lime else i
         try:
-            probes.append(model_probe(model, e_cfg, te.take(bg_idx), len(te.feature_indices)))
+            if key not in groups:
+                groups[key] = (model_probe(model, e_cfg, te.take(bg_idx), X.shape[1]), [])
         except PPVerifyError as exc:
-            failure = exc
+            failure, live = exc, i  # explain only the models before a failure
             break
-    responses, lime = [[] for _ in probes], isinstance(e_cfg, LimeConfig)
-    n, M = query_sets[0].feature_matrix().shape if probes else (0, 0)
-    for plan in probe_plans(e_cfg, n, M):
-        for i, probe in enumerate(probes):
-            bg = dataclasses.replace(probe, plan=plan)
+        groups[key][1].append(i)
+    responses = [[] for _ in range(live)]
+    for plan in probe_plans(e_cfg, n if live else 0, M):
+        for probe, members in groups.values():
+            bg = dataclasses.replace(probe, plan=plan, geometries={} if lime else None)
             m_cfg = e_cfg if lime else dataclasses.replace(e_cfg, background=bg)
-            try:
-                responses[i] += build_responses(fitted[i], query_sets[i], m_cfg, bg, tags[i])
-            except PPVerifyError as exc:
-                failure = exc
-                del probes[i:]
-                break
+            for i in [i for i in members if i < live]:
+                try:
+                    responses[i] += build_responses(fitted[i], query_sets[i], m_cfg, bg, tags[i])
+                except PPVerifyError as exc:
+                    failure, live = exc, i
+                    break
     if failure is not None:
         raise failure
     return responses

@@ -6,7 +6,8 @@ SHAP with background-marginalized coalition values. `exact_shapley` is an
 independent brute-force oracle used to cross-check the Kernel SHAP solver.
 
 Models only need `predict(x) -> class index` and `predict_proba(X) -> (n, k)
-probabilities`; background data may be a Dataset or a plain feature matrix.
+probabilities` (Kernel SHAP reads a `Predictor`'s class off the latter);
+background data may be a Dataset or a plain feature matrix.
 A probe plan draws each query's perturbations or coalitions once for all the
 models of a stage (`probe_plans`, `model_probe`).
 """
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .models import Predictor
 from .seeding import derive_seed
 
 #: Sentinel for ShapConfig.coalition_budget requesting full enumeration.
@@ -107,20 +109,32 @@ class ProbePlan:
 class Probe:
     """A background matrix with the setup that every query of one model
     shares (the LIME per-feature spread, or the model a SHAP explanation
-    probes and its background probabilities) and the plan chunk whose draws
-    it reads. The explainers accept one wherever they accept a background."""
+    probes and its background probabilities), the plan chunk whose draws it
+    reads and, for LIME, a cache of query geometries that its models share.
+    The explainers accept one wherever they accept a background."""
 
     matrix: np.ndarray
     sigma: np.ndarray | None = None
     model: object = None
     probs: np.ndarray | None = None
     plan: ProbePlan | None = None
+    geometries: dict | None = None
 
     def feature_matrix(self) -> np.ndarray:
         return self.matrix
 
     def draw(self, key) -> tuple:
         return (self.plan and self.plan.draws.get(key)) or _draw(key)
+
+    def lime_geometry(self, x, cfg) -> tuple:
+        """`_lime_geometry` of query x under cfg, built once for every model
+        that explains x through this probe while it holds `geometries`."""
+        if self.geometries is None:
+            return _lime_geometry(self, x, cfg)
+        key = (cfg, x.tobytes())
+        if key not in self.geometries:
+            self.geometries[key] = _lime_geometry(self, x, cfg)
+        return self.geometries[key]
 
 
 def model_probe(m, cfg, background, M: int) -> Probe:
@@ -207,34 +221,12 @@ def _explained_class(m, x, override, n_classes) -> int:
     return cls
 
 
-def _weighted_ridge(Z, y, w, lam):
-    """Weighted ridge with an unpenalized intercept column."""
-    n, m = Z.shape
-    A = np.column_stack([Z, np.ones(n)])
-    Aw = A * w[:, None]
-    G = A.T @ Aw
-    G[np.arange(m), np.arange(m)] += lam
-    b = Aw.T @ y
-    try:
-        beta = np.linalg.solve(G, b)
-    except np.linalg.LinAlgError:
-        beta = np.linalg.lstsq(G, b, rcond=None)[0]
-    return beta[:-1], float(beta[-1])
-
-
-def lime_explain(m, x, cfg: LimeConfig, background) -> Explanation:
-    """Fit a weighted linear surrogate around `x` and return its coefficients.
-
-    Perturbations are Gaussian around `x` with per-feature spread
-    `perturbation_scale` times the background standard deviation. Sample
-    weights decay as exp(-d^2 / kernel_width^2) in sigma-scaled Euclidean
-    distance. The surrogate regresses the model's predicted probability of
-    the explained class.
-    """
-    x = np.asarray(x, dtype=float)
-    M = x.size
-    prepared = model_probe(m, cfg, background, M)
-    sigma = prepared.sigma
+def _lime_geometry(probe: Probe, x, cfg: LimeConfig) -> tuple:
+    """The query side of a LIME explanation, which no model enters: the
+    perturbations Z around x, the kernel-weighted design Aw = [Z, 1] * w and
+    the Gram matrix G = [Z, 1].T @ Aw with the ridge on its diagonal (the
+    intercept is not penalized). Read-only, so that models can share them."""
+    M, sigma = x.size, probe.sigma
     if cfg.num_samples < M + 2:
         raise ConfigError(f"num_samples must be at least {M + 2}, got {cfg.num_samples}")
     if (sigma == 0).any() and cfg.ridge_strength <= 0:
@@ -247,17 +239,40 @@ def lime_explain(m, x, cfg: LimeConfig, background) -> Explanation:
     if width <= 0:
         raise ConfigError("kernel_width must be positive")
 
-    (N,) = prepared.draw(_draw_key(cfg, cfg.seed, M))
+    (N,) = probe.draw(_draw_key(cfg, cfg.seed, M))
     Z = x + N * (cfg.perturbation_scale * sigma)
-    probs = m.predict_proba(Z)
-    cls = _explained_class(m, x, cfg.explained_class, probs.shape[1])
-    y = probs[:, cls]
-
     scaled = np.where(sigma > 0, (Z - x) / np.where(sigma > 0, sigma, 1.0), 0.0)
     d2 = np.sum(scaled * scaled, axis=1)
     w = np.exp(-d2 / (width * width))
-    coef, intercept = _weighted_ridge(Z, y, w, cfg.ridge_strength)
-    return Explanation(coef, intercept, cls, "lime")
+    A = np.column_stack([Z, np.ones(Z.shape[0])])
+    Aw = A * w[:, None]
+    G = A.T @ Aw
+    G[np.arange(M), np.arange(M)] += cfg.ridge_strength
+    for a in (Z, Aw, G):
+        a.setflags(write=False)
+    return Z, Aw, G
+
+
+def lime_explain(m, x, cfg: LimeConfig, background) -> Explanation:
+    """Fit a weighted linear surrogate around `x` and return its coefficients.
+
+    Perturbations are Gaussian around `x` with per-feature spread
+    `perturbation_scale` times the background standard deviation. Sample
+    weights decay as exp(-d^2 / kernel_width^2) in sigma-scaled Euclidean
+    distance. The surrogate is a weighted ridge regression, with an
+    unpenalized intercept, of the model's predicted probability of the
+    explained class; only that right-hand side depends on the model.
+    """
+    x = np.asarray(x, dtype=float)
+    Z, Aw, G = model_probe(m, cfg, background, x.size).lime_geometry(x, cfg)
+    probs = m.predict_proba(Z)
+    cls = _explained_class(m, x, cfg.explained_class, probs.shape[1])
+    b = Aw.T @ probs[:, cls]
+    try:
+        beta = np.linalg.solve(G, b)
+    except np.linalg.LinAlgError:
+        beta = np.linalg.lstsq(G, b, rcond=None)[0]
+    return Explanation(beta[:-1], float(beta[-1]), cls, "lime")
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +329,13 @@ def shap_explain(m, x, cfg: ShapConfig) -> Explanation:
     M = x.size
     prepared = model_probe(m, cfg, cfg.background, M)
     bg, bg_probs = prepared.matrix, prepared.probs
-    cls = _explained_class(m, x, cfg.explained_class, bg_probs.shape[1])
+    px = m.predict_proba(x[None, :])[0]
+    wanted = cfg.explained_class
+    if wanted is None and isinstance(m, Predictor):  # its predict is this row's argmax
+        wanted = int(np.argmax(px))
+    cls = _explained_class(m, x, wanted, bg_probs.shape[1])
     f0 = float(bg_probs[:, cls].mean())
-    fx = float(m.predict_proba(x[None, :])[0, cls])
+    fx = float(px[cls])
 
     if M == 1:
         return Explanation(np.array([fx - f0]), f0, cls, "shap")

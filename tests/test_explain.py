@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import ConstantModel, LinearProbModel
+from conftest import ConstantModel, LinearProbModel, build_dataset
 from ppverify.errors import ConfigError, DataError
 from ppverify.explain import (
     EXACT,
@@ -186,3 +188,28 @@ def test_exact_shapley_constant_model_is_zero(rng):
     model = ConstantModel(prob=0.4, n_features=4)
     phi = exact_shapley(model, np.zeros(4), rng.normal(size=(20, 4)))
     assert np.allclose(phi, 0.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    arch=st.sampled_from(["logreg", "dtree", "rforest"]),
+    n=st.integers(6, 40),
+    d=st.integers(1, 6),
+    k=st.integers(2, 3),
+    extra_budget=st.one_of(st.none(), st.integers(0, 60)),  # None: EXACT
+    seed=st.integers(0, 2**16),
+)
+def test_shap_additivity_on_random_models(arch, n, d, k, extra_budget, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 10.0])
+    y = rng.integers(0, k, size=n)
+    y[:k] = np.arange(k)
+    cfg = TrainConfig(architecture=arch, seed=seed, iterations=30, n_trees=4, min_leaf=1)
+    m = train(build_dataset(np.column_stack([X, y])), cfg)
+    bg, x = X[rng.permutation(n)[: rng.integers(1, 8)]], rng.normal(size=d) * 2.0
+    budget = EXACT if extra_budget is None else d + 2 + extra_budget
+    e = shap_explain(m, x, ShapConfig(background=bg, coalition_budget=budget, seed=seed))
+    fx = m.predict_proba(x[None, :])[0, e.explained_class]
+    f0 = m.predict_proba(bg)[:, e.explained_class].mean()
+    assert e.explained_class == m.predict(x)
+    assert abs(e.attributions.sum() - (fx - f0)) <= 1e-9

@@ -215,3 +215,72 @@ def test_a_chunked_stage_raises_the_first_failure_in_model_order():
     cfg = LimeConfig(num_samples=40, seed=11)
     with mock.patch.object(explain, "_PLAN_CELLS", 200), pytest.raises(DataError, match="model 0"):
         experiment._explain_stage(cfg, models_, [query_sets[0]] * 2, bg_idx, ["a", "b"])
+
+
+LAYOUTS = {"equal": "AAA", "distinct": "ABC", "interleaved": "ABABA"}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    layout=st.sampled_from(sorted(LAYOUTS)),
+    plan_cells=st.integers(1, 1200),
+    n_queries=st.integers(1, 9),
+)
+def test_a_lime_stage_builds_each_query_geometry_once_per_query_set(
+    layout, plan_cells, n_queries
+):
+    fitted, (raw, shifted, _), bg_idx = _stage()
+    other = raw.with_values(raw.values + np.r_[-0.25 * np.ones(5), 0.0])
+    sets = {"A": raw, "B": shifted, "C": other}
+    query_sets = [sets[g].take(range(n_queries)) for g in LAYOUTS[layout]]
+    stage_models = [fitted[i % 3] for i in range(len(query_sets))]
+    bg_idx = bg_idx[bg_idx < n_queries]
+    cfg = STAGE_CONFIGS[0]
+    built = []
+
+    def counted_geometry(probe, x, q_cfg):
+        built.append((x.tobytes(), q_cfg.seed))
+        return geometry(probe, x, q_cfg)
+
+    geometry = explain._lime_geometry
+    tags = [str(i) for i in range(len(query_sets))]
+    with mock.patch.object(explain, "_PLAN_CELLS", plan_cells), \
+            mock.patch.object(explain, "_lime_geometry", counted_geometry):
+        got = experiment._explain_stage(cfg, stage_models, query_sets, bg_idx, tags)
+
+    for m, te, responses in zip(stage_models, query_sets, got, strict=True):
+        want = _per_query_vectors(m, te, cfg, te.take(bg_idx))
+        assert all(np.array_equal(rv.vector, w) for rv, w in zip(responses, want, strict=True))
+    # one geometry per (query set, query), however the stage is chunked
+    assert len(built) == len(set(built)) == len(set(LAYOUTS[layout])) * n_queries
+
+
+def test_a_probe_keeps_one_geometry_per_query_and_config():
+    fitted, (raw, shifted, _), bg_idx = _stage()
+    background, cfg = raw.take(bg_idx), STAGE_CONFIGS[0]
+    probe = replace(explain.model_probe(None, cfg, background, 5), geometries={})
+    rows = np.vstack([raw.feature_matrix()[:2], shifted.feature_matrix()[:1]])
+    for x, seed in zip(rows, (1, 2, 1)):  # the first and third differ in x only
+        for q_cfg in (replace(cfg, seed=seed), replace(cfg, seed=seed, kernel_width=0.5)):
+            got = lime_explain(fitted[0], x, q_cfg, probe)
+            want = lime_explain(fitted[0], x, q_cfg, background)
+            assert np.array_equal(got.attributions, want.attributions)
+            assert got.intercept_or_base == want.intercept_or_base
+    assert len(probe.geometries) == 6
+
+
+def test_a_grouped_stage_raises_the_first_failure_in_model_order():
+    # models A0, B1, A2: A0 and A2 share query set A, B1 sees B. B1 fails on
+    # query 0 (chunk 0), after A0 and A2 have explained it; A0 fails on
+    # query 1 (chunk 1). One model at a time would meet A0's failure first.
+    fitted, (raw, shifted, _), bg_idx = _stage()
+    A, B = raw.feature_matrix(), shifted.feature_matrix()
+    models_ = [
+        FailsOnQuery(fitted[0], A[1], "model A0"),
+        FailsOnQuery(fitted[1], B[0], "model B1"),
+        fitted[2],
+    ]
+    cfg = LimeConfig(num_samples=40, seed=11)  # one query a chunk at 200 cells
+    with mock.patch.object(explain, "_PLAN_CELLS", 200), \
+            pytest.raises(DataError, match="model A0"):
+        experiment._explain_stage(cfg, models_, [raw, shifted, raw], bg_idx, ["a", "b", "c"])

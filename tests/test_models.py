@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_dataset
 from ppverify.errors import ConfigError, DataError
@@ -7,6 +11,7 @@ from ppverify.models import (
     TrainConfig,
     load_model,
     logreg_loss_grad,
+    model_from_payload,
     predict_batch,
     save_model,
     schema_fingerprint,
@@ -204,3 +209,26 @@ def test_load_model_rejects_foreign_json(tmp_path):
     path.write_text('{"format": "something-else", "version": 1}')
     with pytest.raises(DataError):
         load_model(str(path))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    arch=st.sampled_from(["logreg", "dtree", "rforest"]),
+    n=st.integers(4, 40),
+    d=st.integers(1, 5),
+    k=st.integers(2, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_payload_round_trips_predict_identical_probabilities(arch, n, d, k, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e3])
+    y = rng.integers(0, k, size=n)
+    y[:k] = np.arange(k)
+    cfg = TrainConfig(architecture=arch, seed=seed, iterations=20, n_trees=3, min_leaf=1)
+    model = train(build_dataset(np.column_stack([X, 1.5 * y])), cfg)  # class values 0, 1.5, ...
+    Q = np.vstack([X, rng.normal(size=(10, d)) * 3.0 * np.abs(X).max()])
+    payload = model.to_payload()
+    for back in (model_from_payload(payload), model_from_payload(json.loads(json.dumps(payload)))):
+        assert back.architecture == model.architecture
+        assert np.array_equal(back.class_values, model.class_values)
+        assert np.array_equal(back.predict_proba(Q), model.predict_proba(Q))

@@ -109,6 +109,25 @@ def test_column_gini_equals_the_row_sum_bit_for_bit(k):
     assert np.array_equal(models._gini_columns(counts.T, total, k), want)
 
 
+# Both features split this table into the same weighted Gini, 1/3, but
+# rounding makes feature 1's 5.6e-17 lower: 0.3333333333333333 against
+# 0.33333333333333326. A later feature must be lower by more than 1e-15 to win.
+NEAR_TIE = np.array([
+    [0, 3, 1, 2, 0, 0, 2, 0, 2],  # feature 0, best threshold 2.5
+    [0, 1, 3, 2, 2, 0, 3, 3, 0],  # feature 1, best threshold 0.5
+    [0, 1, 1, 1, 1, 1, 0, 1, 1],  # label
+], dtype=float).T
+
+
+def test_a_later_feature_needs_a_gini_lower_by_more_than_the_margin():
+    X, y = NEAR_TIE[:, :2], NEAR_TIE[:, 2].astype(int)
+    first, later = (ref.best_split(X, y, np.arange(9), [f], 2, 1) for f in (0, 1))
+    assert 0 < first[0] - later[0] < 1e-15  # the table is a near tie
+    cfg = TrainConfig(architecture="dtree", max_depth=1, min_leaf=1)
+    params = train(build_dataset(NEAR_TIE), cfg).to_payload()["params"]
+    assert (params["feature"][0], params["threshold"][0]) == (0, 2.5)
+
+
 def seed_payload(arch, trees, d, k):
     """A version-1 model file as the recursive writer laid it out."""
     params = trees[0].payload() if arch == "dtree" else {"trees": [t.payload() for t in trees]}

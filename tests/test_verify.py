@@ -1,7 +1,11 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import LinearProbModel, build_dataset
 from ppverify.errors import ConfigError, DataError
@@ -297,3 +301,34 @@ def test_responses_csv_header_is_checked(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(DataError):
         responses_from_csv(str(path))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    task=st.sampled_from(["binary", "multi"]),
+    arch=st.sampled_from(["logreg", "dtree", "rforest"]),
+    granularity=st.sampled_from(["per_query", "concatenated"]),
+    n=st.integers(2, 12),
+    dim=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_a_saved_and_reloaded_verifier_gives_the_same_verdict(
+    task, arch, granularity, n, dim, seed
+):
+    rng = np.random.default_rng(seed)
+    classes = (0, 1) if task == "binary" else (0, 1, 2, 3)
+    data = labeled_set({c: (rng.normal(size=(n, dim)) + c).tolist() for c in classes}, task)
+    reference = make_responses(rng.normal(size=(n, dim)).tolist(), tag="ref")
+    verifiers = [
+        fit_ml_verifier(data, TrainConfig(architecture=arch, seed=seed, iterations=20, n_trees=3)),
+        fit_threshold_verifier(reference, data, granularity),
+    ]
+    targets = [make_responses((rng.normal(size=(n, dim)) + c).tolist()) for c in classes]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "verifier.json")
+        for verifier in verifiers:
+            save_verifier(verifier, path)
+            back = load_verifier(path)
+            for target in targets:
+                want = classify(verifier, target, reference=reference)
+                assert classify(back, target, reference=reference) == want
