@@ -56,7 +56,7 @@ def _parse_budget_flag(text):
         raise ConfigError(f"--budget must be an integer or 'exact', got {text!r}") from None
 
 
-def _explainer_from_args(args, background):
+def _explainer_from_args(args):
     if args.explainer == "lime":
         return LimeConfig(
             num_samples=args.num_samples,
@@ -65,7 +65,6 @@ def _explainer_from_args(args, background):
             seed=args.seed,
         )
     return ShapConfig(
-        background=background,
         coalition_budget=_parse_budget_flag(args.budget),
         seed=args.seed,
     )
@@ -151,8 +150,7 @@ def cmd_respond(args) -> int:
     model = load_model(args.model)
     queries = _load_dataset(args.queries, args.schema)
     background = _load_dataset(args.background, args.schema) if args.background else queries
-    cfg = _explainer_from_args(args, background)
-    responses = build_responses(model, queries, cfg, background=background)
+    responses = build_responses([model], [queries], _explainer_from_args(args), [background], [""])
     responses_to_csv(responses, queries.feature_names, args.output)
     print(f"wrote {len(responses)} responses to {args.output}")
     return 0

@@ -15,6 +15,7 @@ reproduces results.csv byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, PPVerifyError, check_field_types
-from .explain import EXACT, LimeConfig, ShapConfig, model_probe, probe_plans
+from .explain import EXACT, LimeConfig, ShapConfig
 from .ldp import PrivacyBudget, privatize
 from .membership import AttackConfig, mia_power
 # `train` is not called here; perfbench/spans.py wraps `experiment.train`.
@@ -227,9 +228,9 @@ def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, clo
 
     Pipelines apply and their training sets are checked in order; the
     models before the first failure then train together in one `train_many`
-    call, are explained together (see `_explain_stage`), and the failure is
-    raised last. A failed stage therefore raises the error that training and
-    explaining one pipeline at a time would raise first.
+    call, are explained together in one `build_responses` call, and the
+    failure is raised last. A failed stage therefore raises the error that
+    training and explaining one pipeline at a time would raise first.
     """
     applied, failure = [], None  # (label, train set, query set, train config)
     for k, (pipe, label) in enumerate(pipelines):
@@ -247,48 +248,14 @@ def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, clo
     t = time.perf_counter()
     fitted = train_many([a[1] for a in applied], [a[3] for a in applied])
     clock(f"{stage}_train", t)
-    tags = [f"{stage}-{a[0].class_id}" for a in applied]
     e_cfg = _explainer_cfg(cfg, derive_seed(cfg.master_seed, "explain", trial))
-    responses = _explain_stage(e_cfg, fitted, [a[2] for a in applied], bg_idx, tags)
+    responses = iter(build_responses(
+        fitted, [a[2] for a in applied], e_cfg, [a[2].take(bg_idx) for a in applied],
+        [f"{stage}-{a[0].class_id}" for a in applied],
+    ))
     if failure is not None:
         raise failure
-    return {a[0].class_id: r for a, r in zip(applied, responses)}
-
-
-def _explain_stage(e_cfg, fitted, query_sets, bg_idx, tags) -> list:
-    """Each model's responses to its query set, one probe plan chunk of
-    queries at a time, so that a chunk's draws are made once for every
-    model. Under LIME, models with byte-equal query matrices share a probe,
-    and a chunk is explained one such group at a time, each query's geometry
-    built once per group. A failing model stops its own and every later
-    model's explaining, and the first failure in model order is raised, as
-    explaining one model at a time would."""
-    lime, groups, failure, live = isinstance(e_cfg, LimeConfig), {}, None, len(fitted)
-    n, M = query_sets[0].feature_matrix().shape if fitted else (0, 0)
-    for i, (model, te) in enumerate(zip(fitted, query_sets)):
-        X = te.feature_matrix()
-        key = (X.shape, X.tobytes()) if lime else i
-        try:
-            if key not in groups:
-                groups[key] = (model_probe(model, e_cfg, te.take(bg_idx), X.shape[1]), [])
-        except PPVerifyError as exc:
-            failure, live = exc, i  # explain only the models before a failure
-            break
-        groups[key][1].append(i)
-    responses = [[] for _ in range(live)]
-    for plan in probe_plans(e_cfg, n if live else 0, M):
-        for probe, members in groups.values():
-            bg = dataclasses.replace(probe, plan=plan, geometries={} if lime else None)
-            m_cfg = e_cfg if lime else dataclasses.replace(e_cfg, background=bg)
-            for i in [i for i in members if i < live]:
-                try:
-                    responses[i] += build_responses(fitted[i], query_sets[i], m_cfg, bg, tags[i])
-                except PPVerifyError as exc:
-                    failure, live = exc, i
-                    break
-    if failure is not None:
-        raise failure
-    return responses
+    return {a[0].class_id: list(itertools.islice(responses, a[2].n_rows)) for a in applied}
 
 
 def _attack_groups(cfg: ExperimentConfig, train_d: Dataset, test_d: Dataset, trial: int):

@@ -8,20 +8,20 @@ independent brute-force oracle used to cross-check the Kernel SHAP solver.
 Models only need `predict(x) -> class index` and `predict_proba(X) -> (n, k)
 probabilities` (Kernel SHAP reads a `Predictor`'s class off the latter);
 background data may be a Dataset or a plain feature matrix.
-A probe plan draws each query's perturbations or coalitions once for all the
-models of a stage (`probe_plans`, `model_probe`).
+Probes that share one dict (`model_probe`) make each query's perturbations or
+coalitions, and each LIME query geometry, once for all the models they serve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .models import Predictor
-from .seeding import derive_seed
 
 #: Sentinel for ShapConfig.coalition_budget requesting full enumeration.
 EXACT = "exact"
@@ -33,7 +33,6 @@ EXACT_FEATURE_LIMIT = 16
 ORACLE_FEATURE_LIMIT = 10
 
 _PREDICT_CHUNK = 200_000  # rows per predict_proba call during marginalization
-_PLAN_CELLS = 1 << 16  # most drawn entries one probe plan chunk holds
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,6 @@ class ShapConfig:
     large enough to cover full enumeration enumerate instead of sampling.
     """
 
-    background: object = None
     coalition_budget: object = 2048
     seed: int = 0
     explained_class: int | None = None
@@ -95,95 +93,50 @@ def _as_matrix(background, M: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ProbePlan:
-    """One chunk of a stage's queries: their global indices and explainer
-    seeds, and each draw that every model of the stage shares, under its
-    key (`_draw_key`). An explainer that finds no draw makes its own."""
-
-    rows: range
-    seeds: tuple
-    draws: dict
-
-
-@dataclass(frozen=True, eq=False)
 class Probe:
     """A background matrix with the setup that every query of one model
-    shares (the LIME per-feature spread, or the model a SHAP explanation
-    probes and its background probabilities), the plan chunk whose draws it
-    reads and, for LIME, a cache of query geometries that its models share.
-    The explainers accept one wherever they accept a background."""
+    shares (the LIME per-feature spread, or the model's SHAP background
+    probabilities), and the dict in which the probes of one stage keep the
+    query-side work they share (see `_shared`). The explainers accept one
+    wherever they accept a background."""
 
     matrix: np.ndarray
+    shared: dict
     sigma: np.ndarray | None = None
-    model: object = None
     probs: np.ndarray | None = None
-    plan: ProbePlan | None = None
-    geometries: dict | None = None
 
     def feature_matrix(self) -> np.ndarray:
         return self.matrix
 
-    def draw(self, key) -> tuple:
-        return (self.plan and self.plan.draws.get(key)) or _draw(key)
 
-    def lime_geometry(self, x, cfg) -> tuple:
-        """`_lime_geometry` of query x under cfg, built once for every model
-        that explains x through this probe while it holds `geometries`."""
-        if self.geometries is None:
-            return _lime_geometry(self, x, cfg)
-        key = (cfg, x.tobytes())
-        if key not in self.geometries:
-            self.geometries[key] = _lime_geometry(self, x, cfg)
-        return self.geometries[key]
-
-
-def model_probe(m, cfg, background, M: int) -> Probe:
-    """`background` set up for explaining `m` under `cfg`; a Probe that is
-    already set up so comes back as it is."""
+def model_probe(m, cfg, background, M: int, shared: dict) -> Probe:
+    """`background` set up for explaining `m` under `cfg`, sharing `shared`;
+    a Probe that is already set up so comes back as it is."""
     bg = _as_matrix(background, M)
     lime = isinstance(cfg, LimeConfig)
-    if isinstance(background, Probe) and (
-        background.sigma is not None if lime else background.model is m
-    ):
+    if isinstance(background, Probe) and (background.sigma if lime else background.probs) is not None:
         return background
     if not lime:
-        return Probe(bg, model=m, probs=m.predict_proba(bg))
+        return Probe(bg, shared, probs=m.predict_proba(bg))
     with np.errstate(invalid="ignore"):
         sigma = np.array([c[~np.isnan(c)].std() if (~np.isnan(c)).any() else 0.0 for c in bg.T])
     sigma.setflags(write=False)
-    return Probe(bg, sigma=sigma)
+    return Probe(bg, shared, sigma=sigma)
 
 
-def query_seeds(seed: int, rows) -> tuple:
-    """The explainer seed of each query in `rows`; it depends on the query
-    index alone, so every model sees the same draws for a query."""
-    return tuple(derive_seed(seed, "query", q) for q in rows)
+def _shared(probe: Probe, key, make):
+    """`make()`, made once for every probe that shares `probe.shared`."""
+    if key not in probe.shared:
+        probe.shared[key] = make()
+    return probe.shared[key]
 
 
-def probe_plans(cfg, n_queries: int, M: int):
-    """Yield the probe plan of `n_queries` queries of M features under `cfg`
-    in chunks of at most `_PLAN_CELLS` drawn entries (and at least one
-    query), freeing each chunk's draws before drawing the next."""
-    seeds = query_seeds(cfg.seed, range(n_queries))
-    try:
-        keys = [_draw_key(cfg, s, M) for s in seeds]
-    except ConfigError:  # the explainer raises it, in its own order
-        keys = [None] * n_queries
-    own = keys and keys[0] and keys[0][0] != "exact"  # exact SHAP shares one draw
-    step = max(1, _PLAN_CELLS // max(1, keys[0][2] * M) if own else n_queries)
-    for start in range(0, n_queries, step):
-        stop = min(n_queries, start + step)
-        draws = {k: _draw(k) for k in dict.fromkeys(keys[start:stop]) if k}
-        yield ProbePlan(range(start, stop), seeds[start:stop], draws)
-        draws.clear()
-
-
-def _draw_key(cfg, seed: int, M: int):
+def _draw_key(cfg, M: int):
     """What one query's draws depend on: ("lime", seed, samples, M),
     ("shap", seed, budget, M) or ("exact", M). ConfigError for a budget
     Kernel SHAP cannot use."""
     if isinstance(cfg, LimeConfig):
-        return ("lime", seed, cfg.num_samples, M)
+        return ("lime", cfg.seed, cfg.num_samples, M)
     budget = cfg.coalition_budget
     if budget == EXACT:
         if M > EXACT_FEATURE_LIMIT:
@@ -194,7 +147,7 @@ def _draw_key(cfg, seed: int, M: int):
     if isinstance(budget, (int, np.integer)) and not isinstance(budget, bool):
         if budget < M + 2:
             raise ConfigError(f"coalition_budget must be at least {M + 2}, got {budget}")
-        return ("exact", M) if (1 << M) - 2 <= budget else ("shap", seed, int(budget), M)
+        return ("exact", M) if (1 << M) - 2 <= budget else ("shap", cfg.seed, int(budget), M)
     raise ConfigError(f"coalition_budget must be a positive int or EXACT, got {budget!r}")
 
 
@@ -202,13 +155,22 @@ def _draw(key) -> tuple:
     """The read-only arrays `key` names: LIME's unit normal matrix, or Kernel
     SHAP's coalition masks and kernel weights. Equal keys give equal draws."""
     kind, M = key[0], key[-1]
+    if kind == "exact":
+        return _exact_coalitions(M)
     if kind == "lime":
         arrays = (np.random.default_rng(key[1]).standard_normal((key[2], M)),)
-    elif kind == "shap":
-        arrays = _sample_coalitions(M, key[2], np.random.default_rng(key[1]))
     else:
-        masks = _masks_from_ints(np.arange(1, (1 << M) - 1, dtype=np.int64), M)
-        arrays = masks, _kernel_weight(M, masks.sum(axis=1))
+        arrays = _sample_coalitions(M, key[2], np.random.default_rng(key[1]))
+    return _read_only(arrays)
+
+
+@lru_cache(maxsize=1)  # every model and query of a stage has the same M
+def _exact_coalitions(M: int) -> tuple:
+    masks = _masks_from_ints(np.arange(1, (1 << M) - 1, dtype=np.int64), M)
+    return _read_only((masks, _kernel_weight(M, masks.sum(axis=1))))
+
+
+def _read_only(arrays: tuple) -> tuple:
     for a in arrays:
         a.setflags(write=False)
     return arrays
@@ -239,7 +201,8 @@ def _lime_geometry(probe: Probe, x, cfg: LimeConfig) -> tuple:
     if width <= 0:
         raise ConfigError("kernel_width must be positive")
 
-    (N,) = probe.draw(_draw_key(cfg, cfg.seed, M))
+    key = _draw_key(cfg, M)
+    (N,) = _shared(probe, key, lambda: _draw(key))
     Z = x + N * (cfg.perturbation_scale * sigma)
     scaled = np.where(sigma > 0, (Z - x) / np.where(sigma > 0, sigma, 1.0), 0.0)
     d2 = np.sum(scaled * scaled, axis=1)
@@ -248,9 +211,7 @@ def _lime_geometry(probe: Probe, x, cfg: LimeConfig) -> tuple:
     Aw = A * w[:, None]
     G = A.T @ Aw
     G[np.arange(M), np.arange(M)] += cfg.ridge_strength
-    for a in (Z, Aw, G):
-        a.setflags(write=False)
-    return Z, Aw, G
+    return _read_only((Z, Aw, G))
 
 
 def lime_explain(m, x, cfg: LimeConfig, background) -> Explanation:
@@ -264,7 +225,9 @@ def lime_explain(m, x, cfg: LimeConfig, background) -> Explanation:
     explained class; only that right-hand side depends on the model.
     """
     x = np.asarray(x, dtype=float)
-    Z, Aw, G = model_probe(m, cfg, background, x.size).lime_geometry(x, cfg)
+    probe = model_probe(m, cfg, background, x.size, {})
+    key = (cfg, x.tobytes(), probe.sigma.tobytes())
+    Z, Aw, G = _shared(probe, key, lambda: _lime_geometry(probe, x, cfg))
     probs = m.predict_proba(Z)
     cls = _explained_class(m, x, cfg.explained_class, probs.shape[1])
     b = Aw.T @ probs[:, cls]
@@ -317,7 +280,7 @@ def _sample_coalitions(M, budget, rng):
     return _masks_from_ints(uniq, M), counts.astype(float)
 
 
-def shap_explain(m, x, cfg: ShapConfig) -> Explanation:
+def shap_explain(m, x, cfg: ShapConfig, background) -> Explanation:
     """Kernel SHAP attributions for one query.
 
     Coalition values marginalize absent features over the background; the
@@ -327,8 +290,8 @@ def shap_explain(m, x, cfg: ShapConfig) -> Explanation:
     """
     x = np.asarray(x, dtype=float)
     M = x.size
-    prepared = model_probe(m, cfg, cfg.background, M)
-    bg, bg_probs = prepared.matrix, prepared.probs
+    probe = model_probe(m, cfg, background, M, {})
+    bg, bg_probs = probe.matrix, probe.probs
     px = m.predict_proba(x[None, :])[0]
     wanted = cfg.explained_class
     if wanted is None and isinstance(m, Predictor):  # its predict is this row's argmax
@@ -340,7 +303,8 @@ def shap_explain(m, x, cfg: ShapConfig) -> Explanation:
     if M == 1:
         return Explanation(np.array([fx - f0]), f0, cls, "shap")
 
-    masks, weights = prepared.draw(_draw_key(cfg, cfg.seed, M))
+    key = _draw_key(cfg, M)
+    masks, weights = _shared(probe, key, lambda: _draw(key))
     v = _coalition_values(m, x, masks, bg, cls)
 
     # eliminate the last attribution through the additivity constraint

@@ -53,6 +53,8 @@ class ColumnSchema:
                 raise ConfigError(f"column {self.name!r}: duplicate categories")
             if list(cats) != sorted(cats):
                 raise ConfigError(f"column {self.name!r}: categories must be sorted")
+            if set(cats) & set(MISSING_TOKENS):
+                raise ConfigError(f"column {self.name!r}: categories {MISSING_TOKENS} read as missing")
         elif self.categories:
             raise ConfigError(f"column {self.name!r}: only categorical columns carry categories")
 
@@ -339,7 +341,7 @@ def load_schema_sidecar(path: str):
         is_label = bool(entry.get("is_label", False))
         try:
             cols.append(ColumnSchema(name, kind, tuple(categories), is_label))
-        except ConfigError as exc:  # unknown kind, unsorted or repeated categories
+        except ConfigError as exc:  # unknown kind; unsorted, repeated or missing-token categories
             raise DataError(f"{where}: {exc}") from None
     return cols
 

@@ -16,10 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, json_field, read_json
-from .explain import LimeConfig, lime_explain, model_probe, query_seeds, shap_explain
+from .errors import ConfigError, DataError, PPVerifyError, json_field, read_json
+from .explain import LimeConfig, lime_explain, model_probe, shap_explain
 from .models import Predictor, TrainConfig, model_from_payload, train
 from .preprocess import PipelineLabel
+from .seeding import derive_seed
 from .tabular import ColumnSchema, Dataset, KIND_CONTINUOUS, KIND_DISCRETE
 
 TASKS = ("binary", "multi")
@@ -111,56 +112,56 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(1.0 - float(np.dot(a, b)) / (na * nb))
 
 
-def build_responses(
-    m,
-    queries: Dataset,
-    explainer_cfg,
-    background=None,
-    model_tag: str = "",
-) -> list:
-    """One ResponseVector per query row, or per row of the probe plan chunk
-    that the background (the config's, for SHAP) holds, when it is a Probe
-    with a plan; query indices are global either way.
+def build_responses(models, query_sets, explainer_cfg, backgrounds, tags) -> list:
+    """One ResponseVector per query row of each model's query set, explained
+    against that model's background and tagged with its tag: one flat list,
+    model by model.
 
     `explainer_cfg` selects the explainer by type (LimeConfig or ShapConfig).
-    Each query explains under a seed derived from the config seed and the row
-    index, so batches are reproducible row by row and two models probed with
-    the same config see the same perturbations. The trailing vector entry is
-    the model's predicted class index.
+    Query q explains under a seed derived from the config seed and q alone,
+    so every model sees the same perturbations for it. The models are probed
+    query by query: a query's draws, and its LIME geometry per distinct query
+    set, are made once for every model and dropped before the next query. A
+    failing model stops its own and every later model's explaining, and the
+    first failure in model order is raised, as explaining one model at a
+    time would. The trailing vector entry is the model's predicted class
+    index.
     """
-    if queries.n_rows == 0:
-        raise DataError("query set is empty")
-    X = queries.feature_matrix()
-    if np.isnan(X).any():
-        raise DataError("queries contain missing cells")
-    is_lime = isinstance(explainer_cfg, LimeConfig)
-    # per-model setup, shared by every query
-    probe = model_probe(
-        m, explainer_cfg, background if is_lime else explainer_cfg.background, X.shape[1]
-    )
-    if is_lime:
-        background = probe
-    else:
-        explainer_cfg = replace(explainer_cfg, background=probe)
-    rows = probe.plan.rows if probe.plan else range(X.shape[0])
-    seeds = probe.plan.seeds if probe.plan else query_seeds(explainer_cfg.seed, rows)
-
-    out = []
-    for q, seed in zip(rows, seeds):
-        x = X[q]
-        qcfg = replace(explainer_cfg, seed=seed)
-        if is_lime:
-            expl = lime_explain(m, x, qcfg, background)
-        else:
-            expl = shap_explain(m, x, qcfg)
-        # the explainer already predicted x unless told which class to explain
-        if explainer_cfg.explained_class is None:
-            yhat = float(expl.explained_class)
-        else:
-            yhat = float(m.predict(x))
-        vec = np.concatenate([expl.attributions, [expl.intercept_or_base, yhat]])
-        out.append(ResponseVector(vec, q, model_tag))
-    return out
+    explain = lime_explain if isinstance(explainer_cfg, LimeConfig) else shap_explain
+    shared, probes, failure = {}, [], None
+    for m, queries, background in zip(models, query_sets, backgrounds, strict=True):
+        try:
+            X = queries.feature_matrix()
+            if queries.n_rows == 0:
+                raise DataError("query set is empty")
+            if np.isnan(X).any():
+                raise DataError("queries contain missing cells")
+            probes.append((X, model_probe(m, explainer_cfg, background, X.shape[1], shared)))
+        except PPVerifyError as exc:
+            failure = exc  # explain only the models before it
+            break
+    live, out = len(probes), [[] for _ in probes]
+    for q in range(max((len(X) for X, _ in probes), default=0)):
+        cfg = replace(explainer_cfg, seed=derive_seed(explainer_cfg.seed, "query", q))
+        for i, (X, probe) in enumerate(probes[:live]):
+            if q >= len(X):
+                continue
+            try:
+                expl = explain(models[i], X[q], cfg, probe)
+            except PPVerifyError as exc:
+                failure, live = exc, i
+                break
+            # the explainer already predicted x unless told which class to explain
+            if cfg.explained_class is None:
+                yhat = float(expl.explained_class)
+            else:
+                yhat = float(models[i].predict(X[q]))
+            vec = np.concatenate([expl.attributions, [expl.intercept_or_base, yhat]])
+            out[i].append(ResponseVector(vec, q, tags[i]))
+        shared.clear()
+    if failure is not None:
+        raise failure
+    return [rv for responses in out for rv in responses]
 
 
 # ---------------------------------------------------------------------------

@@ -80,9 +80,8 @@ def test_01_shap_additivity_across_architectures(model_trio):
         m = models[ARCHITECTURES[i % 3]]
         x = X[rng.integers(0, X.shape[0])]
         budget = EXACT if i % 2 == 0 else 128
-        cfg = ShapConfig(background=background, coalition_budget=budget,
-                         seed=derive_seed(11, "pair", i))
-        e = shap_explain(m, x, cfg)
+        cfg = ShapConfig(coalition_budget=budget, seed=derive_seed(11, "pair", i))
+        e = shap_explain(m, x, cfg, background)
         fx = float(m.predict_proba(x[None, :])[0, e.explained_class])
         gap = abs(float(e.attributions.sum()) - (fx - e.intercept_or_base))
         worst = max(worst, gap)
@@ -105,7 +104,7 @@ def test_02_exact_kernel_shap_matches_brute_force_oracle():
         X, background, models = worlds[i % 3]
         m = models[ARCHITECTURES[(i // 3) % 3]]
         x = X[rng.integers(0, X.shape[0])]
-        e = shap_explain(m, x, ShapConfig(background=background, coalition_budget=EXACT))
+        e = shap_explain(m, x, ShapConfig(coalition_budget=EXACT), background)
         phi = exact_shapley(m, x, background)
         worst = max(worst, float(np.max(np.abs(e.attributions - phi))))
     elapsed = time.perf_counter() - t0

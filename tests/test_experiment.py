@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -428,3 +429,46 @@ def test_attack_csv_bytes_are_pinned(tmp_path):
     path = emit_report(run_experiment(cfg), str(tmp_path / "out"))["attack"]
     digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
     assert digest == "c5c9c026d604a38b3ff9c679f3b1cd871130b47a60736e7ce4f75fae52e8f2ec"
+
+
+def _perfbench_module(name):
+    """A module of the benchmark's `perfbench/` directory, loaded by path."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("explainer", ["lime", "shap"])
+def test_a_traced_run_counts_every_response_once(explainer):
+    # the benchmark's worker traces a run through spans.install and adds
+    # len(build_responses(...)) into its responses_per_s; all three counts
+    # must be the number of responses the run made
+    from ppverify import experiment, models, verify
+
+    spans = _perfbench_module("spans")
+    cfg = tiny_config(trials=1, explainer=explainer, attack=False)
+    tracer = spans.Tracer("test")
+    undo = spans.install(tracer, experiment, verify, models)
+    summed = [0]
+    build_responses = experiment.build_responses
+
+    def counted(*args, **kwargs):
+        out = build_responses(*args, **kwargs)
+        summed[0] += len(out)
+        return out
+
+    experiment.build_responses = counted
+    undo.append((experiment, "build_responses", build_responses))
+    try:
+        tracer.wrap(spans.ROOT, run_experiment)(cfg)
+    finally:
+        spans.uninstall(undo)
+    metrics = spans.layer_metrics(
+        tracer.spans, 1.0, {"cells": 0, "cells_failed": 0, "acc_ml": 0.0, "acc_threshold": 0.0}
+    )
+    stages = 1 + len(cfg.epsilon_grid)  # the target stage and one verifier stage per epsilon
+    want = cfg.trials * stages * len(enumerate_pipelines(cfg.enumeration_mode)) * cfg.query_count
+    assert summed[0] == metrics["explain.queries"] == metrics["verify.responses"] == want
+    assert spans.by_name(tracer.spans)["verify.build_responses"]["calls"] == cfg.trials * stages

@@ -84,8 +84,8 @@ def test_shap_additivity_on_linear_model(rng):
     model = LinearProbModel([0.05, -0.02, 0.04, 0.01], intercept=0.5)
     background = rng.normal(size=(40, 4))
     x = rng.normal(size=4)
-    cfg = ShapConfig(background=background, coalition_budget=EXACT, seed=0, explained_class=1)
-    expl = shap_explain(model, x, cfg)
+    cfg = ShapConfig(coalition_budget=EXACT, seed=0, explained_class=1)
+    expl = shap_explain(model, x, cfg, background)
     fx = model.predict_proba(x[None, :])[0, 1]
     f0 = model.predict_proba(background)[:, 1].mean()
     assert abs(expl.attributions.sum() - (fx - f0)) < 1e-10
@@ -98,8 +98,8 @@ def test_shap_linear_closed_form(rng):
     model = LinearProbModel(w, intercept=0.5)
     background = rng.normal(0.0, 0.5, size=(80, 3))
     x = np.array([0.3, -0.2, 0.6])
-    cfg = ShapConfig(background=background, coalition_budget=EXACT, explained_class=1)
-    expl = shap_explain(model, x, cfg)
+    cfg = ShapConfig(coalition_budget=EXACT, explained_class=1)
+    expl = shap_explain(model, x, cfg, background)
     expect = w * (x - background.mean(axis=0))
     assert np.allclose(expl.attributions, expect, atol=1e-8)
 
@@ -114,7 +114,7 @@ def test_shap_exact_matches_oracle_on_nonlinear_model(rng):
     background = d.feature_matrix()[:25]
     for i in range(5):
         x = d.feature_matrix()[40 + i]
-        got = shap_explain(model, x, ShapConfig(background=background, coalition_budget=EXACT))
+        got = shap_explain(model, x, ShapConfig(coalition_budget=EXACT), background)
         want = exact_shapley(model, x, background)
         assert np.allclose(got.attributions, want, atol=1e-6)
 
@@ -124,11 +124,10 @@ def test_shap_sampling_approaches_exact(rng):
     background = rng.normal(size=(30, 5))
     x = rng.normal(size=5)
     exact = shap_explain(
-        model, x, ShapConfig(background=background, coalition_budget=EXACT, explained_class=1)
+        model, x, ShapConfig(coalition_budget=EXACT, explained_class=1), background
     )
     sampled = shap_explain(
-        model, x,
-        ShapConfig(background=background, coalition_budget=4000, seed=7, explained_class=1),
+        model, x, ShapConfig(coalition_budget=4000, seed=7, explained_class=1), background
     )
     assert np.allclose(sampled.attributions, exact.attributions, atol=2e-2)
     # additivity holds under sampling by construction
@@ -141,9 +140,9 @@ def test_shap_budget_covering_enumeration_is_exact(rng):
     model = LinearProbModel([0.1, -0.1, 0.05], intercept=0.4)
     background = rng.normal(size=(20, 3))
     x = rng.normal(size=3)
-    a = shap_explain(model, x, ShapConfig(background=background, coalition_budget=EXACT))
+    a = shap_explain(model, x, ShapConfig(coalition_budget=EXACT), background)
     # 2^3 - 2 = 6 coalitions; a budget of 100 covers them all
-    b = shap_explain(model, x, ShapConfig(background=background, coalition_budget=100, seed=1))
+    b = shap_explain(model, x, ShapConfig(coalition_budget=100, seed=1), background)
     assert np.array_equal(a.attributions, b.attributions)
 
 
@@ -152,8 +151,7 @@ def test_shap_single_feature_short_circuit(rng):
     background = rng.normal(size=(15, 1))
     x = np.array([0.5])
     expl = shap_explain(
-        model, x,
-        ShapConfig(background=background, coalition_budget=EXACT, explained_class=1),
+        model, x, ShapConfig(coalition_budget=EXACT, explained_class=1), background
     )
     fx = model.predict_proba(x[None, :])[0, 1]
     f0 = model.predict_proba(background)[:, 1].mean()
@@ -164,18 +162,18 @@ def test_shap_budget_validation(rng):
     model = LinearProbModel([0.1] * 4)
     background = rng.normal(size=(10, 4))
     with pytest.raises(ConfigError):
-        shap_explain(model, np.zeros(4), ShapConfig(background=background, coalition_budget=3))
+        shap_explain(model, np.zeros(4), ShapConfig(coalition_budget=3), background)
     with pytest.raises(ConfigError):
-        shap_explain(model, np.zeros(4), ShapConfig(background=background, coalition_budget="lots"))
+        shap_explain(model, np.zeros(4), ShapConfig(coalition_budget="lots"), background)
     with pytest.raises(ConfigError):
-        shap_explain(model, np.zeros(4), ShapConfig(background=None))
+        shap_explain(model, np.zeros(4), ShapConfig(), None)
 
 
 def test_shap_exact_feature_cap(rng):
     model = LinearProbModel([0.01] * 17)
     background = rng.normal(size=(5, 17))
     with pytest.raises(ConfigError):
-        shap_explain(model, np.zeros(17), ShapConfig(background=background, coalition_budget=EXACT))
+        shap_explain(model, np.zeros(17), ShapConfig(coalition_budget=EXACT), background)
 
 
 def test_exact_shapley_feature_cap(rng):
@@ -208,7 +206,7 @@ def test_shap_additivity_on_random_models(arch, n, d, k, extra_budget, seed):
     m = train(build_dataset(np.column_stack([X, y])), cfg)
     bg, x = X[rng.permutation(n)[: rng.integers(1, 8)]], rng.normal(size=d) * 2.0
     budget = EXACT if extra_budget is None else d + 2 + extra_budget
-    e = shap_explain(m, x, ShapConfig(background=bg, coalition_budget=budget, seed=seed))
+    e = shap_explain(m, x, ShapConfig(coalition_budget=budget, seed=seed), bg)
     fx = m.predict_proba(x[None, :])[0, e.explained_class]
     f0 = m.predict_proba(bg)[:, e.explained_class].mean()
     assert e.explained_class == m.predict(x)

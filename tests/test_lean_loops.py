@@ -1,6 +1,7 @@
-"""The lean logistic regression loop, the coalition sampler, the
-per-model explainer setup of `build_responses` and the stage-wide probe plan,
-each against the code it replaced: results must match bit for bit."""
+"""The lean logistic regression loop, the coalition sampler, and the
+query-major `build_responses` that explains a whole stage with shared draws
+and LIME geometries, each against the code it replaced: results must match
+bit for bit."""
 
 from dataclasses import replace
 from functools import lru_cache
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import loop_reference as ref
 from conftest import build_dataset
-from ppverify import experiment, explain, models
+from ppverify import explain, models
 from ppverify.errors import DataError
 from ppverify.explain import (
     EXACT,
@@ -77,13 +78,10 @@ def _table(rng, n, d, missing=0):
 
 def _per_query_vectors(m, queries, cfg, background):
     """What build_responses returns, from one public explainer call per query."""
+    explainer = lime_explain if isinstance(cfg, LimeConfig) else shap_explain
     out = []
     for q, x in enumerate(queries.feature_matrix()):
-        qcfg = replace(cfg, seed=derive_seed(cfg.seed, "query", q))
-        if isinstance(cfg, LimeConfig):
-            expl = lime_explain(m, x, qcfg, background)
-        else:
-            expl = shap_explain(m, x, qcfg)
+        expl = explainer(m, x, replace(cfg, seed=derive_seed(cfg.seed, "query", q)), background)
         yhat = float(expl.explained_class)
         out.append(np.concatenate([expl.attributions, [expl.intercept_or_base, yhat]]))
     return out
@@ -110,17 +108,22 @@ def test_build_responses_equals_per_query_explainer_calls():
     train_set, queries = _table(rng, 120, 5), _table(rng, 6, 5)
     background = _table(rng, 10, 5, missing=2)  # LIME's spread skips blank cells
     shap_background = _table(rng, 8, 5)
+    other = _table(rng, 7, 5)
     configs = [
-        LimeConfig(num_samples=200, seed=11),
-        ShapConfig(background=shap_background, coalition_budget=40, seed=11),
-        ShapConfig(background=shap_background, coalition_budget=EXACT, seed=11),
+        (LimeConfig(num_samples=200, seed=11), background),
+        (ShapConfig(coalition_budget=40, seed=11), shap_background),
+        (ShapConfig(coalition_budget=EXACT, seed=11), shap_background),
     ]
     for arch in ("logreg", "rforest"):
         m = train(train_set, TrainConfig(architecture=arch, seed=3, iterations=50, n_trees=5))
-        for cfg in configs:
-            counted = BackgroundCounter(m, shap_background)
-            got = [rv.vector for rv in build_responses(counted, queries, cfg, background)]
-            want = _per_query_vectors(m, queries, cfg, background)
+        for cfg, bg in configs:
+            # a second model explains the first 3 queries against another
+            # background: its own rows, spread and geometries
+            counted, short = BackgroundCounter(m, shap_background), queries.take(range(3))
+            out = build_responses([counted, m], [queries, short], cfg, [bg, other], ["a", "b"])
+            got = [rv.vector for rv in out]
+            want = _per_query_vectors(m, queries, cfg, bg) + _per_query_vectors(m, short, cfg, other)
+            assert [rv.model_tag for rv in out] == ["a"] * 6 + ["b"] * 3
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), (arch, cfg)
             if isinstance(cfg, ShapConfig):
                 assert counted.background_calls == 1  # once per model, not per query
@@ -141,54 +144,47 @@ def _stage():
     return fitted, [queries, shifted, queries], np.array([0, 2, 5])
 
 
+def _stage_responses(cfg, stage_models, query_sets, bg_idx):
+    """build_responses over a stage as the experiment calls it, split back
+    into each model's responses."""
+    tags = [str(i) for i in range(len(stage_models))]
+    backgrounds = [te.take(bg_idx) for te in query_sets]
+    out = build_responses(stage_models, query_sets, cfg, backgrounds, tags)
+    return [[rv for rv in out if rv.model_tag == tag] for tag in tags]
+
+
 STAGE_CONFIGS = [
-    LimeConfig(num_samples=40, seed=11),  # 200 cells a query
+    LimeConfig(num_samples=40, seed=11),
     ShapConfig(coalition_budget=20, seed=11),  # sampled: 30 proper coalitions of 5
     ShapConfig(coalition_budget=EXACT, seed=11),
 ]
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    cfg=st.sampled_from(STAGE_CONFIGS),
-    plan_cells=st.integers(1, 1200),
-    n_queries=st.integers(1, 9),
-)
-def test_a_chunked_stage_equals_per_query_explainer_calls(cfg, plan_cells, n_queries):
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=st.sampled_from(STAGE_CONFIGS), n_queries=st.integers(1, 9))
+def test_a_stage_equals_per_query_explainer_calls(cfg, n_queries):
     fitted, query_sets, bg_idx = _stage()
     query_sets = [te.take(range(n_queries)) for te in query_sets]
     bg_idx = bg_idx[bg_idx < n_queries]
-    calls, draws = [], []
-
-    def counted_build(*args, **kwargs):
-        out = build_responses(*args, **kwargs)
-        calls.append([rv.query_index for rv in out])
-        return out
+    draws = []
 
     def counted_draw(key):
         draws.append(key)
         return draw(key)
 
     draw = explain._draw
-    with mock.patch.object(explain, "_PLAN_CELLS", plan_cells), \
-            mock.patch.object(explain, "_draw", counted_draw), \
-            mock.patch.object(experiment, "build_responses", counted_build):
-        got = experiment._explain_stage(cfg, fitted, query_sets, bg_idx, ["a", "b", "c"])
+    with mock.patch.object(explain, "_draw", counted_draw):
+        got = _stage_responses(cfg, fitted, query_sets, bg_idx)
 
-    for m, te, tag, responses in zip(fitted, query_sets, "abc", got, strict=True):
-        background = te.take(bg_idx)
-        m_cfg = cfg if isinstance(cfg, LimeConfig) else replace(cfg, background=background)
-        want = _per_query_vectors(m, te, m_cfg, background)
+    for m, te, responses in zip(fitted, query_sets, got, strict=True):
+        want = _per_query_vectors(m, te, cfg, te.take(bg_idx))
         assert all(np.array_equal(rv.vector, w) for rv, w in zip(responses, want, strict=True))
         assert [rv.query_index for rv in responses] == list(range(n_queries))
-        assert {rv.model_tag for rv in responses} == {tag}
-    # one build_responses call per model and chunk, with global query indices
-    per_query = 200 if isinstance(cfg, LimeConfig) else 0 if cfg.coalition_budget == EXACT else 100
-    step = max(1, plan_cells // per_query) if per_query else n_queries
-    chunks = [list(range(q, min(q + step, n_queries))) for q in range(0, n_queries, step)]
-    assert calls == [c for c in chunks for _ in fitted]
-    # each query's draws are made once for the whole stage
-    assert len(draws) == (1 if per_query == 0 else n_queries) == len(set(draws))
+    # each query's draws are made once for the whole stage; exact SHAP's
+    # coalitions depend on the feature count alone
+    exact = isinstance(cfg, ShapConfig) and cfg.coalition_budget == EXACT
+    assert len(draws) == n_queries
+    assert len(set(draws)) == (1 if exact else n_queries)
 
 
 class FailsOnQuery:
@@ -206,29 +202,31 @@ class FailsOnQuery:
         return self.model.predict(x)
 
 
-def test_a_chunked_stage_raises_the_first_failure_in_model_order():
-    # model 0 fails on query 3 (a late chunk), model 1 on query 0 (the first
-    # chunk); one model at a time would meet model 0's failure first
+def test_a_stage_raises_the_first_failure_in_model_order():
+    # model 0 fails on query 3, model 1 on query 0; one model at a time would
+    # meet model 0's failure first
     fitted, query_sets, bg_idx = _stage()
     X = query_sets[0].feature_matrix()
-    models_ = [FailsOnQuery(fitted[0], X[3], "model 0"), FailsOnQuery(fitted[2], X[0], "model 2")]
+    models_ = [FailsOnQuery(fitted[0], X[3], "model 0"), FailsOnQuery(fitted[2], X[0], "model 1")]
     cfg = LimeConfig(num_samples=40, seed=11)
-    with mock.patch.object(explain, "_PLAN_CELLS", 200), pytest.raises(DataError, match="model 0"):
-        experiment._explain_stage(cfg, models_, [query_sets[0]] * 2, bg_idx, ["a", "b"])
+    with pytest.raises(DataError, match="model 0"):
+        _stage_responses(cfg, models_, [query_sets[0]] * 2, bg_idx)
+    # and when model 0 fails first, model 1's later failure is not raised
+    models_ = [FailsOnQuery(fitted[0], X[0], "model 0"), FailsOnQuery(fitted[2], X[3], "model 1")]
+    with pytest.raises(DataError, match="model 0"):
+        _stage_responses(cfg, models_, [query_sets[0]] * 2, bg_idx)
+    # a later model whose background cannot be set up fails after model 0 too
+    with pytest.raises(DataError, match="model 0"):
+        build_responses(models_, [query_sets[0]] * 2, cfg,
+                        [query_sets[0].take(bg_idx), np.zeros((3, 4))], ["a", "b"])
 
 
 LAYOUTS = {"equal": "AAA", "distinct": "ABC", "interleaved": "ABABA"}
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    layout=st.sampled_from(sorted(LAYOUTS)),
-    plan_cells=st.integers(1, 1200),
-    n_queries=st.integers(1, 9),
-)
-def test_a_lime_stage_builds_each_query_geometry_once_per_query_set(
-    layout, plan_cells, n_queries
-):
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(layout=st.sampled_from(sorted(LAYOUTS)), n_queries=st.integers(1, 9))
+def test_a_lime_stage_builds_each_query_geometry_once_per_query_set(layout, n_queries):
     fitted, (raw, shifted, _), bg_idx = _stage()
     other = raw.with_values(raw.values + np.r_[-0.25 * np.ones(5), 0.0])
     sets = {"A": raw, "B": shifted, "C": other}
@@ -243,22 +241,20 @@ def test_a_lime_stage_builds_each_query_geometry_once_per_query_set(
         return geometry(probe, x, q_cfg)
 
     geometry = explain._lime_geometry
-    tags = [str(i) for i in range(len(query_sets))]
-    with mock.patch.object(explain, "_PLAN_CELLS", plan_cells), \
-            mock.patch.object(explain, "_lime_geometry", counted_geometry):
-        got = experiment._explain_stage(cfg, stage_models, query_sets, bg_idx, tags)
+    with mock.patch.object(explain, "_lime_geometry", counted_geometry):
+        got = _stage_responses(cfg, stage_models, query_sets, bg_idx)
 
     for m, te, responses in zip(stage_models, query_sets, got, strict=True):
         want = _per_query_vectors(m, te, cfg, te.take(bg_idx))
         assert all(np.array_equal(rv.vector, w) for rv, w in zip(responses, want, strict=True))
-    # one geometry per (query set, query), however the stage is chunked
+    # one geometry per (query set, query)
     assert len(built) == len(set(built)) == len(set(LAYOUTS[layout])) * n_queries
 
 
 def test_a_probe_keeps_one_geometry_per_query_and_config():
     fitted, (raw, shifted, _), bg_idx = _stage()
     background, cfg = raw.take(bg_idx), STAGE_CONFIGS[0]
-    probe = replace(explain.model_probe(None, cfg, background, 5), geometries={})
+    probe = explain.model_probe(None, cfg, background, 5, {})
     rows = np.vstack([raw.feature_matrix()[:2], shifted.feature_matrix()[:1]])
     for x, seed in zip(rows, (1, 2, 1)):  # the first and third differ in x only
         for q_cfg in (replace(cfg, seed=seed), replace(cfg, seed=seed, kernel_width=0.5)):
@@ -266,13 +262,13 @@ def test_a_probe_keeps_one_geometry_per_query_and_config():
             want = lime_explain(fitted[0], x, q_cfg, background)
             assert np.array_equal(got.attributions, want.attributions)
             assert got.intercept_or_base == want.intercept_or_base
-    assert len(probe.geometries) == 6
+    assert sum(isinstance(key[0], LimeConfig) for key in probe.shared) == 6
 
 
 def test_a_grouped_stage_raises_the_first_failure_in_model_order():
     # models A0, B1, A2: A0 and A2 share query set A, B1 sees B. B1 fails on
-    # query 0 (chunk 0), after A0 and A2 have explained it; A0 fails on
-    # query 1 (chunk 1). One model at a time would meet A0's failure first.
+    # query 0, after A0 and A2 have explained it; A0 fails on query 1. One
+    # model at a time would meet A0's failure first.
     fitted, (raw, shifted, _), bg_idx = _stage()
     A, B = raw.feature_matrix(), shifted.feature_matrix()
     models_ = [
@@ -280,7 +276,6 @@ def test_a_grouped_stage_raises_the_first_failure_in_model_order():
         FailsOnQuery(fitted[1], B[0], "model B1"),
         fitted[2],
     ]
-    cfg = LimeConfig(num_samples=40, seed=11)  # one query a chunk at 200 cells
-    with mock.patch.object(explain, "_PLAN_CELLS", 200), \
-            pytest.raises(DataError, match="model A0"):
-        experiment._explain_stage(cfg, models_, [raw, shifted, raw], bg_idx, ["a", "b", "c"])
+    cfg = LimeConfig(num_samples=40, seed=11)
+    with pytest.raises(DataError, match="model A0"):
+        _stage_responses(cfg, models_, [raw, shifted, raw], bg_idx)

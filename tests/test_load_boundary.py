@@ -145,6 +145,10 @@ MALFORMED_SIDECARS = [
      json.dumps([{"name": "f0", "kind": "categorical", "categories": ["b", "a"]}, LABEL_ENTRY])),
     ("categories-duplicated",
      json.dumps([{"name": "f0", "kind": "categorical", "categories": ["a", "a"]}, LABEL_ENTRY])),
+    ("categories-question-mark",
+     json.dumps([{"name": "f0", "kind": "categorical", "categories": ["?", "a"]}, LABEL_ENTRY])),
+    ("categories-empty-string",
+     json.dumps([{"name": "f0", "kind": "categorical", "categories": ["", "a"]}, LABEL_ENTRY])),
 ]
 
 CASES = (

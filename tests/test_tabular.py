@@ -1,11 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_dataset
 from ppverify.errors import ConfigError, DataError
 from ppverify.tabular import (
+    COLUMN_KINDS,
+    MISSING_TOKENS,
     ColumnSchema,
     Dataset,
     KIND_CATEGORICAL,
@@ -71,9 +76,49 @@ def test_column_stats_all_missing_is_an_error():
         column_stats(d, 0)
 
 
-def test_csv_roundtrip_preserves_values_and_schema(tmp_path):
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+# large, tiny, non-integer and infinite values; -0.0 reloads as 0.0, which
+# datasets_equal accepts
+_NUMBER = st.floats(allow_nan=False)
+
+
+@st.composite
+def _schemas(draw):
+    n_cols = draw(st.integers(2, 5))
+    names = draw(st.lists(_TEXT, min_size=n_cols, max_size=n_cols, unique=True))
+    label = draw(st.integers(0, n_cols - 1))
+    cols = []
+    for j, name in enumerate(names):
+        kind = draw(st.sampled_from(COLUMN_KINDS))
+        cats = ()
+        if kind == KIND_CATEGORICAL:
+            cats = tuple(sorted(draw(st.sets(_TEXT.filter(lambda t: t not in MISSING_TOKENS),
+                                             min_size=1, max_size=4))))
+        cols.append(ColumnSchema(name, kind, cats, j == label))
+    return tuple(cols)
+
+
+@st.composite
+def _tables(draw):
+    """A mixed-kind table with missing cells."""
+    schema = draw(_schemas())
+    n = draw(st.integers(0, 6))
+    columns = []
+    for col in schema:
+        if col.kind == KIND_CATEGORICAL:
+            observed = st.integers(0, len(col.categories) - 1).map(float)
+        else:
+            observed = _NUMBER
+        cell = st.one_of(st.just(np.nan), observed)
+        columns.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    return Dataset(schema, np.array(columns, dtype=float).T.reshape(n, len(schema)))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(d=_tables())
+def test_csv_roundtrip_preserves_values_and_schema(tmp_path, d):
     path = tmp_path / "data.csv"
-    d = build_dataset([[1.5, 0.0], [np.nan, 1.0], [-2.25, 0.0]])
     write_csv(d, str(path))
     back = load_csv(str(path), schema=d.schema)
     assert datasets_equal(d, back)
@@ -118,14 +163,27 @@ def test_unknown_category_under_fixed_schema_errors(tmp_path):
     assert "purple" in str(err.value)
 
 
-def test_schema_sidecar_roundtrip(tmp_path):
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(schema=_schemas())
+def test_schema_sidecar_roundtrip(tmp_path, schema):
     path = tmp_path / "schema.json"
-    schema = (
-        ColumnSchema("c", KIND_CATEGORICAL, ("a", "b")),
-        ColumnSchema("y", KIND_DISCRETE, (), True),
-    )
     write_schema_sidecar(schema, str(path))
     assert tuple(load_schema_sidecar(str(path))) == schema
+
+
+@pytest.mark.parametrize("token", MISSING_TOKENS)
+def test_a_missing_token_is_not_a_category(tmp_path, token):
+    # a category that reads back as missing would turn its cells into NaN
+    with pytest.raises(ConfigError, match="read as missing"):
+        ColumnSchema("c", KIND_CATEGORICAL, tuple(sorted((token, "a"))))
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps([
+        {"name": "c", "kind": KIND_CATEGORICAL, "categories": sorted([token, "a"])},
+        {"name": "y", "kind": KIND_DISCRETE, "is_label": True},
+    ]))
+    with pytest.raises(DataError, match="read as missing"):
+        load_schema_sidecar(str(path))
 
 
 def test_split_sizes_and_disjointness():

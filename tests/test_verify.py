@@ -69,11 +69,11 @@ def test_build_responses_shape_and_determinism(rng):
     model = LinearProbModel([0.3, -0.2, 0.1], intercept=0.5, feature_names=("f0", "f1", "f2"))
     queries = build_dataset(np.column_stack([rng.normal(size=(8, 3)), np.zeros(8)]))
     cfg = LimeConfig(num_samples=300, seed=4)
-    out = build_responses(model, queries, cfg, background=queries)
+    out = build_responses([model], [queries], cfg, [queries], [""])
     assert len(out) == 8
     assert all(rv.vector.size == 3 + 2 for rv in out)  # attributions + intercept + yhat
     assert [rv.query_index for rv in out] == list(range(8))
-    again = build_responses(model, queries, cfg, background=queries)
+    again = build_responses([model], [queries], cfg, [queries], [""])
     for a, b in zip(out, again):
         assert np.array_equal(a.vector, b.vector)
 
@@ -81,8 +81,8 @@ def test_build_responses_shape_and_determinism(rng):
 def test_build_responses_yhat_is_class_index(rng):
     model = LinearProbModel([1.0, 0.0], intercept=0.0)
     queries = build_dataset([[0.9, 0.0, 0.0], [0.1, 0.0, 0.0]])
-    cfg = ShapConfig(background=queries, coalition_budget=EXACT, seed=0)
-    out = build_responses(model, queries, cfg)
+    cfg = ShapConfig(coalition_budget=EXACT, seed=0)
+    out = build_responses([model], [queries], cfg, [queries], [""])
     assert out[0].vector[-1] == 1.0
     assert out[1].vector[-1] == 0.0
 
@@ -105,9 +105,8 @@ def test_build_responses_yhat_is_the_prediction_with_or_without_override(explain
     if explainer == "lime":
         cfg = LimeConfig(num_samples=100, seed=3, explained_class=override)
     else:
-        cfg = ShapConfig(background=queries, coalition_budget=EXACT, seed=3,
-                         explained_class=override)
-    out = build_responses(model, queries, cfg, background=queries)
+        cfg = ShapConfig(coalition_budget=EXACT, seed=3, explained_class=override)
+    out = build_responses([model], [queries], cfg, [queries], [""])
     # one predict per query: by the explainer, or for yhat when the class is fixed
     assert model.calls == len(out)
     X = queries.feature_matrix()
@@ -119,14 +118,14 @@ def test_build_responses_rejects_missing_query_cells():
     model = LinearProbModel([0.1, 0.1])
     queries = build_dataset([[np.nan, 0.0, 1.0]])
     with pytest.raises(DataError):
-        build_responses(model, queries, LimeConfig(seed=0), background=queries)
+        build_responses([model], [queries], LimeConfig(seed=0), [queries], [""])
 
 
 def test_build_responses_lime_needs_background():
     model = LinearProbModel([0.1, 0.1])
     queries = build_dataset([[0.0, 0.0, 1.0]])
     with pytest.raises(ConfigError):
-        build_responses(model, queries, LimeConfig(seed=0))
+        build_responses([model], [queries], LimeConfig(seed=0), [None], [""])
 
 
 def test_ml_verifier_separates_clean_clusters():
