@@ -66,7 +66,7 @@ from .tabular import (
 from .verify import (
     LabeledResponseSet,
     MLVerifier,
-    ResponseVector,
+    Responses,
     ThresholdModel,
     Verdict,
     build_responses,
@@ -103,7 +103,7 @@ __all__ = [
     "Pipeline",
     "PipelineLabel",
     "PrivacyBudget",
-    "ResponseVector",
+    "Responses",
     "ShapConfig",
     "SyntheticSpec",
     "ThresholdModel",

@@ -8,12 +8,11 @@ seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
-from .errors import ConfigError, DataError, PPVerifyError, read_json
+from .errors import ConfigError, DataError, PPVerifyError, check_known_keys, read_json
 from .experiment import ExperimentConfig, emit_report, run_experiment
 from .explain import EXACT, LimeConfig, ShapConfig
 from .ldp import PrivacyBudget, privatize
@@ -135,10 +134,7 @@ def cmd_train(args) -> int:
         overrides = read_json(args.config, ConfigError)
         if not isinstance(overrides, dict):
             raise ConfigError("--config must hold a JSON object of hyperparameters")
-        known = {f.name for f in dataclasses.fields(TrainConfig)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ConfigError(f"unknown hyperparameters: {sorted(unknown)}")
+        check_known_keys(overrides, TrainConfig, "hyperparameters")
     cfg = TrainConfig(architecture=args.arch, seed=args.seed, **overrides)
     model = train(d, cfg)
     save_model(model, args.output)
@@ -150,7 +146,7 @@ def cmd_respond(args) -> int:
     model = load_model(args.model)
     queries = _load_dataset(args.queries, args.schema)
     background = _load_dataset(args.background, args.schema) if args.background else queries
-    responses = build_responses([model], [queries], _explainer_from_args(args), [background], [""])
+    responses = build_responses([model], [queries], _explainer_from_args(args), [background])
     responses_to_csv(responses, queries.feature_names, args.output)
     print(f"wrote {len(responses)} responses to {args.output}")
     return 0
@@ -173,7 +169,7 @@ def _parse_labeled_responses(specs):
 
 
 def cmd_fit_verifier(args) -> int:
-    labeled = LabeledResponseSet.from_models(_parse_labeled_responses(args.responses), args.task)
+    labeled = LabeledResponseSet(_parse_labeled_responses(args.responses), args.task)
     if args.method == "ml":
         verifier = fit_ml_verifier(labeled, TrainConfig(architecture=args.arch, seed=args.seed))
     else:

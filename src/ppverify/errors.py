@@ -40,6 +40,13 @@ def json_field(mapping, key: str, where: str):
     return mapping[key]
 
 
+def check_known_keys(raw: dict, cls, what: str) -> None:
+    """ConfigError naming the keys of `raw` that are not fields of the dataclass `cls`."""
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+
+
 _SCALAR_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool,
                  "None": type(None)}
 

@@ -15,7 +15,6 @@ reproduces results.csv byte for byte.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import numbers
@@ -25,13 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, PPVerifyError, check_field_types
+from .errors import ConfigError, DataError, PPVerifyError, check_field_types, check_known_keys
 from .explain import EXACT, LimeConfig, ShapConfig
 from .ldp import PrivacyBudget, privatize
 from .membership import AttackConfig, mia_power
 # `train` is not called here; perfbench/spans.py wraps `experiment.train`.
 from .models import ARCHITECTURES, TrainConfig, train, train_many, training_arrays  # noqa: F401
-from .preprocess import ENUMERATION_MODES, apply_pipeline, enumerate_pipelines
+from .preprocess import ENUMERATION_MODES, apply_pipeline, drop_missing, enumerate_pipelines
 from .seeding import derive_seed
 from .svgchart import render_line_chart
 from .tabular import (
@@ -47,12 +46,12 @@ from .verify import (
     TASKS,
     GRANULARITIES,
     LabeledResponseSet,
+    Responses,
     build_responses,
     classify,
     fit_ml_verifier,
     fit_threshold_verifier,
 )
-from .preprocess import drop_missing
 
 EXPLAINERS = ("lime", "shap")
 SOURCES = ("synthetic", "csv")
@@ -142,18 +141,12 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("experiment config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        check_known_keys(raw, cls, "config keys")
         kwargs = dict(raw)
         if "synthetic" in kwargs and kwargs["synthetic"] is not None:
             if not isinstance(kwargs["synthetic"], dict):
                 raise ConfigError("synthetic spec must be a JSON object")
-            spec_known = {f.name for f in dataclasses.fields(SyntheticSpec)}
-            spec_unknown = set(kwargs["synthetic"]) - spec_known
-            if spec_unknown:
-                raise ConfigError(f"unknown synthetic keys: {sorted(spec_unknown)}")
+            check_known_keys(kwargs["synthetic"], SyntheticSpec, "synthetic keys")
             kwargs["synthetic"] = SyntheticSpec(**kwargs["synthetic"])
         if "epsilon_grid" in kwargs:
             if not isinstance(kwargs["epsilon_grid"], list):
@@ -249,13 +242,14 @@ def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, clo
     fitted = train_many([a[1] for a in applied], [a[3] for a in applied])
     clock(f"{stage}_train", t)
     e_cfg = _explainer_cfg(cfg, derive_seed(cfg.master_seed, "explain", trial))
-    responses = iter(build_responses(
-        fitted, [a[2] for a in applied], e_cfg, [a[2].take(bg_idx) for a in applied],
-        [f"{stage}-{a[0].class_id}" for a in applied],
-    ))
+    matrix = build_responses(
+        fitted, [a[2] for a in applied], e_cfg, [a[2].take(bg_idx) for a in applied]
+    )
     if failure is not None:
         raise failure
-    return {a[0].class_id: list(itertools.islice(responses, a[2].n_rows)) for a in applied}
+    per_model = np.split(matrix, np.cumsum([a[2].n_rows for a in applied])[:-1])
+    return {a[0].class_id: Responses(rows, f"{stage}-{a[0].class_id}")
+            for a, rows in zip(applied, per_model)}
 
 
 def _attack_groups(cfg: ExperimentConfig, train_d: Dataset, test_d: Dataset, trial: int):
@@ -353,7 +347,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                         cfg, released, queries, pipelines, bg_idx,
                         "verifier", trial, clock, eps_index=ei,
                     )
-                    labeled = LabeledResponseSet.from_models(
+                    labeled = LabeledResponseSet(
                         [(label, verifier_responses[label.class_id]) for _, label in pipelines],
                         cfg.task,
                     )
@@ -457,37 +451,16 @@ def _summary_row(eps, method, vals):
     return {"epsilon": eps, "method": method, "mean": None, "stddev": None, "n_trials": 0}
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _csv_text(header: str, rows) -> str:
+    """CSV text of `header` and `rows`: None and NaN cells are left empty,
+    other floats are written by repr."""
 
+    def cell(v):
+        if v is None or (isinstance(v, float) and math.isnan(v)):
+            return ""
+        return repr(v) if isinstance(v, float) else str(v)
 
-def _results_csv(report: ExperimentReport) -> str:
-    lines = ["epsilon,trial,method,accuracy,status"]
-    for r in report.rows:
-        acc = "" if math.isnan(r.accuracy) else repr(r.accuracy)
-        lines.append(f"{_eps_text(r.epsilon)},{r.trial},{r.method},{acc},{r.status}")
-    return "\n".join(lines) + "\n"
-
-
-def _attack_csv(report: ExperimentReport) -> str:
-    lines = ["epsilon,trial,power,gamma,status"]
-    for r in report.attack_rows:
-        power = "" if math.isnan(r.power) else repr(r.power)
-        gamma = "" if math.isnan(r.gamma) else repr(r.gamma)
-        lines.append(f"{_eps_text(r.epsilon)},{r.trial},{power},{gamma},{r.status}")
-    return "\n".join(lines) + "\n"
-
-
-def _summary_csv(summary) -> str:
-    lines = ["epsilon,method,mean,stddev,n_trials"]
-    for row in summary:
-        mean = "" if row["mean"] is None else repr(row["mean"])
-        sd = "" if row["stddev"] is None else repr(row["stddev"])
-        lines.append(
-            f"{_eps_text(row['epsilon'])},{row['method']},{mean},{sd},{row['n_trials']}"
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join([header] + [",".join(map(cell, row)) for row in rows]) + "\n"
 
 
 def emit_report(report: ExperimentReport, out_dir: str) -> dict:
@@ -503,24 +476,26 @@ def emit_report(report: ExperimentReport, out_dir: str) -> dict:
     summary = summarize(report)
     paths = {}
 
-    paths["results"] = os.path.join(out_dir, "results.csv")
-    _write_text(paths["results"], _results_csv(report))
+    def write(key, name, text):
+        paths[key] = os.path.join(out_dir, name)
+        with open(paths[key], "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
-    paths["summary"] = os.path.join(out_dir, "summary.csv")
-    _write_text(paths["summary"], _summary_csv(summary))
-
+    write("results", "results.csv", _csv_text("epsilon,trial,method,accuracy,status", [
+        (_eps_text(r.epsilon), r.trial, r.method, r.accuracy, r.status) for r in report.rows
+    ]))
+    write("summary", "summary.csv", _csv_text("epsilon,method,mean,stddev,n_trials", [
+        (_eps_text(r["epsilon"]), r["method"], r["mean"], r["stddev"], r["n_trials"])
+        for r in summary
+    ]))
     if report.attack_rows:
-        paths["attack"] = os.path.join(out_dir, "attack.csv")
-        _write_text(paths["attack"], _attack_csv(report))
-
-    paths["config"] = os.path.join(out_dir, "config.json")
-    _write_text(
-        paths["config"],
-        json.dumps(report.config.to_dict(), indent=2, sort_keys=True) + "\n",
-    )
-
-    paths["run_meta"] = os.path.join(out_dir, "run_meta.json")
-    _write_text(paths["run_meta"], json.dumps(report.runtime, indent=2, sort_keys=True) + "\n")
+        write("attack", "attack.csv", _csv_text("epsilon,trial,power,gamma,status", [
+            (_eps_text(r.epsilon), r.trial, r.power, r.gamma, r.status)
+            for r in report.attack_rows
+        ]))
+    write("config", "config.json",
+          json.dumps(report.config.to_dict(), indent=2, sort_keys=True) + "\n")
+    write("run_meta", "run_meta.json", json.dumps(report.runtime, indent=2, sort_keys=True) + "\n")
 
     x_labels = [_eps_text(e) for e in report.config.epsilon_grid]
 
@@ -533,23 +508,17 @@ def emit_report(report: ExperimentReport, out_dir: str) -> dict:
             values.append(row["mean"])
         return values
 
-    chart = render_line_chart(
+    write("accuracy_chart", "verification_accuracy.svg", render_line_chart(
         "Verification accuracy vs epsilon",
         x_labels,
         [(m, series_for(m)) for m in METHODS],
         ylabel="verification accuracy",
-    )
-    paths["accuracy_chart"] = os.path.join(out_dir, "verification_accuracy.svg")
-    _write_text(paths["accuracy_chart"], chart)
-
+    ))
     if report.attack_rows:
-        chart = render_line_chart(
+        write("attack_chart", "attack_power.svg", render_line_chart(
             "Membership attack power vs epsilon",
             x_labels,
             [("attack", series_for("attack"))],
             ylabel="attack power",
-        )
-        paths["attack_chart"] = os.path.join(out_dir, "attack_power.svg")
-        _write_text(paths["attack_chart"], chart)
-
+        ))
     return paths

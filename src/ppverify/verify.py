@@ -2,10 +2,11 @@
 per-query explanation responses.
 
 A response vector for one query stacks the explanation attributions, the
-surrogate intercept (or SHAP base value), and the predicted label. Two
-verifier families consume row-aligned response sets: a trained classifier
-over individual response vectors, and a threshold rule on cosine distances
-to a reference model's responses. Both emit a majority-vote verdict.
+surrogate intercept (or SHAP base value), and the predicted label; a
+model's responses form one matrix, a row per query. Two verifier families
+consume them: a trained classifier over individual response vectors, and a
+threshold rule on cosine distances to a reference model's responses, row
+against row. Both emit a majority-vote verdict.
 """
 
 from __future__ import annotations
@@ -28,19 +29,24 @@ GRANULARITIES = ("per_query", "concatenated")
 
 
 @dataclass(frozen=True)
-class ResponseVector:
-    """One model's answer to one query: attributions + intercept/base + label."""
+class Responses:
+    """One model's answers to a query set: row q stacks query q's
+    attributions, intercept (or SHAP base value) and predicted label. `tag`
+    names the model in errors."""
 
-    vector: np.ndarray
-    query_index: int
-    model_tag: str = ""
+    matrix: np.ndarray
+    tag: str = ""
+
+    def __post_init__(self):
+        if self.matrix.ndim != 2 or not self.matrix.size:
+            raise DataError(f"model {self.tag!r} has no responses")
 
 
 @dataclass
 class LabeledResponseSet:
-    """Response vectors from enumerated models, each tagged with its pipeline class."""
+    """Each enumerated model's responses, paired with its pipeline label."""
 
-    items: list  # of (ResponseVector, PipelineLabel)
+    items: list  # of (PipelineLabel, Responses)
     task: str = "binary"
 
     def __post_init__(self):
@@ -48,17 +54,15 @@ class LabeledResponseSet:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if not self.items:
             raise DataError("labeled response set is empty")
+        labels: dict = {}
+        for label, responses in self.items:
+            if labels.setdefault(responses.tag, label) != label:
+                raise DataError(f"model tag {responses.tag!r} carries conflicting labels")
 
     def training_class(self, label: PipelineLabel) -> int:
         if self.task == "binary":
             return 0 if label.is_proper else 1
         return label.class_id
-
-    @classmethod
-    def from_models(cls, responses_by_label, task: str) -> "LabeledResponseSet":
-        """Build from [(PipelineLabel, [ResponseVector, ...]), ...]."""
-        items = [(rv, label) for label, responses in responses_by_label for rv in responses]
-        return cls(items, task)
 
 
 @dataclass
@@ -112,10 +116,10 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(1.0 - float(np.dot(a, b)) / (na * nb))
 
 
-def build_responses(models, query_sets, explainer_cfg, backgrounds, tags) -> list:
-    """One ResponseVector per query row of each model's query set, explained
-    against that model's background and tagged with its tag: one flat list,
-    model by model.
+def build_responses(models, query_sets, explainer_cfg, backgrounds) -> np.ndarray:
+    """Every model's responses to its query set, explained against its
+    background: one matrix of features + 2 columns whose rows answer model
+    0's queries in order, then model 1's, and so on.
 
     `explainer_cfg` selects the explainer by type (LimeConfig or ShapConfig).
     Query q explains under a seed derived from the config seed and q alone,
@@ -124,8 +128,7 @@ def build_responses(models, query_sets, explainer_cfg, backgrounds, tags) -> lis
     set, are made once for every model and dropped before the next query. A
     failing model stops its own and every later model's explaining, and the
     first failure in model order is raised, as explaining one model at a
-    time would. The trailing vector entry is the model's predicted class
-    index.
+    time would. Each row's last entry is the model's predicted class index.
     """
     explain = lime_explain if isinstance(explainer_cfg, LimeConfig) else shap_explain
     shared, probes, failure = {}, [], None
@@ -136,11 +139,15 @@ def build_responses(models, query_sets, explainer_cfg, backgrounds, tags) -> lis
                 raise DataError("query set is empty")
             if np.isnan(X).any():
                 raise DataError("queries contain missing cells")
+            if probes and X.shape[1] != probes[0][0].shape[1]:
+                raise DataError(f"model {len(probes)} queries {X.shape[1]} features, "
+                                f"model 0 {probes[0][0].shape[1]}")
             probes.append((X, model_probe(m, explainer_cfg, background, X.shape[1], shared)))
         except PPVerifyError as exc:
             failure = exc  # explain only the models before it
             break
-    live, out = len(probes), [[] for _ in probes]
+    live, first = len(probes), np.cumsum([0] + [len(X) for X, _ in probes])
+    out = np.empty((first[-1], probes[0][0].shape[1] + 2 if probes else 0))
     for q in range(max((len(X) for X, _ in probes), default=0)):
         cfg = replace(explainer_cfg, seed=derive_seed(explainer_cfg.seed, "query", q))
         for i, (X, probe) in enumerate(probes[:live]):
@@ -156,12 +163,12 @@ def build_responses(models, query_sets, explainer_cfg, backgrounds, tags) -> lis
                 yhat = float(expl.explained_class)
             else:
                 yhat = float(models[i].predict(X[q]))
-            vec = np.concatenate([expl.attributions, [expl.intercept_or_base, yhat]])
-            out[i].append(ResponseVector(vec, q, tags[i]))
+            out[first[i] + q, :-2] = expl.attributions
+            out[first[i] + q, -2:] = expl.intercept_or_base, yhat
         shared.clear()
     if failure is not None:
         raise failure
-    return [rv for responses in out for rv in responses]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +178,11 @@ def build_responses(models, query_sets, explainer_cfg, backgrounds, tags) -> lis
 def fit_ml_verifier(data: LabeledResponseSet, cfg: TrainConfig | None = None) -> MLVerifier:
     """Train a classifier over response vectors (default: random forest)."""
     cfg = cfg or TrainConfig(architecture="rforest")
-    dim = data.items[0][0].vector.size
-    if any(rv.vector.size != dim for rv, _ in data.items):
+    dim = data.items[0][1].matrix.shape[1]
+    if any(r.matrix.shape[1] != dim for _, r in data.items):
         raise DataError("response vectors have inconsistent lengths")
-    X = np.array([rv.vector for rv, _ in data.items], dtype=float)
-    y = np.array([data.training_class(label) for _, label in data.items], dtype=float)
+    X = np.vstack([r.matrix for _, r in data.items])
+    y = np.concatenate([[data.training_class(label)] * len(r.matrix) for label, r in data.items])
     schema = tuple(
         [ColumnSchema(f"r{i}", KIND_CONTINUOUS) for i in range(dim)]
         + [ColumnSchema("pipeline_class", KIND_DISCRETE, is_label=True)]
@@ -188,68 +195,35 @@ def fit_ml_verifier(data: LabeledResponseSet, cfg: TrainConfig | None = None) ->
 # Threshold verifier
 
 
-def _reference_lookup(reference) -> dict:
-    ref = {}
-    for rv in reference:
-        if rv.query_index in ref:
-            raise DataError(f"reference repeats query index {rv.query_index}")
-        ref[rv.query_index] = rv
-    if not ref:
-        raise DataError("reference response list is empty")
-    return ref
-
-
-def _query_distances(reference, responses) -> list:
-    """Cosine distance of each response to the reference response of its query."""
-    ref = _reference_lookup(reference)
+def _distances(reference: Responses, responses: Responses, granularity: str) -> list:
+    """Cosine distances of `responses` to `reference`: one per query row
+    (per_query), or one between the whole matrices (concatenated). Every
+    response set answers the reference's queries row for row."""
+    if responses.matrix.shape != reference.matrix.shape:
+        raise DataError(
+            f"model {responses.tag!r} gives {responses.matrix.shape} responses where the "
+            f"reference gives {reference.matrix.shape}; every response set must answer "
+            "the reference's queries row for row"
+        )
+    if granularity == "per_query":
+        pairs = zip(reference.matrix, responses.matrix)
+    else:
+        pairs = [(reference.matrix.ravel(), responses.matrix.ravel())]
     dists = []
-    for rv in responses:
-        if rv.query_index not in ref:
-            raise DataError(
-                f"response for query {rv.query_index} has no reference counterpart"
-            )
-        dists.append(_distance(ref[rv.query_index], rv, f"query {rv.query_index}"))
+    for q, (a, b) in enumerate(pairs):
+        try:
+            dists.append(cosine_distance(a, b))
+        except DataError:
+            zero = reference if float(np.linalg.norm(a)) == 0.0 else responses
+            queries = f"query {q}" if granularity == "per_query" else "every query"
+            raise DataError(f"model {zero.tag!r} responds to {queries} with a zero "
+                            "vector; cosine distance is undefined for zero vectors") from None
     return dists
-
-
-def _distance(a: ResponseVector, b: ResponseVector, queries: str) -> float:
-    """cosine_distance of two models' responses to `queries`, naming a model
-    whose response has zero norm."""
-    for rv in (a, b):
-        if float(np.linalg.norm(rv.vector)) == 0.0:
-            raise DataError(f"model {rv.model_tag!r} responds to {queries} with a zero "
-                            "vector; cosine distance is undefined for zero vectors")
-    return cosine_distance(a.vector, b.vector)
-
-
-def _concatenated(responses) -> ResponseVector:
-    """One model's responses in query order, joined into one vector."""
-    ordered = sorted(responses, key=lambda rv: rv.query_index)
-    return ResponseVector(np.concatenate([rv.vector for rv in ordered]), -1, ordered[0].model_tag)
-
-
-def _per_model_distances(reference, data: LabeledResponseSet):
-    ref = _reference_lookup(reference)
-    ref_concat = _concatenated(reference)
-    groups: dict = {}
-    group_labels: dict = {}
-    for rv, label in data.items:
-        groups.setdefault(rv.model_tag, []).append(rv)
-        prior = group_labels.setdefault(rv.model_tag, label)
-        if prior != label:
-            raise DataError(f"model tag {rv.model_tag!r} carries conflicting labels")
-    dists, classes = [], []
-    for tag, responses in groups.items():
-        if sorted(rv.query_index for rv in responses) != sorted(ref):
-            raise DataError(f"model tag {tag!r} does not cover the reference query set")
-        dists.append(_distance(ref_concat, _concatenated(responses), "every query"))
-        classes.append(data.training_class(group_labels[tag]))
-    return np.array(dists), np.array(classes)
 
 
 def _label_map(data: LabeledResponseSet) -> dict:
     labels = {}
-    for _, label in data.items:
+    for label, _ in data.items:
         cls = data.training_class(label)
         if data.task == "binary":
             labels[cls] = bare_label(cls)
@@ -265,25 +239,25 @@ def bare_label(class_id: int) -> PipelineLabel:
 
 
 def fit_threshold_verifier(
-    reference,
+    reference: Responses,
     others: LabeledResponseSet,
     granularity: str = "per_query",
 ) -> ThresholdModel:
     """Fit the distance-threshold verifier.
 
-    `reference` holds the responses of the properly trained model;
-    `others` holds labeled responses from every enumerated model, row-aligned
-    with the reference on query indices. Per-query granularity compares
-    responses query by query; concatenated granularity compares one flattened
-    vector per model.
+    `reference` holds the responses of the properly trained model; `others`
+    holds labeled responses from every enumerated model to the same queries.
+    Per-query granularity compares responses query by query; concatenated
+    granularity compares one flattened vector per model.
     """
     if granularity not in GRANULARITIES:
         raise ConfigError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
-    if granularity == "per_query":
-        dists = np.array(_query_distances(reference, [rv for rv, _ in others.items]))
-        classes = np.array([others.training_class(label) for _, label in others.items])
-    else:
-        dists, classes = _per_model_distances(reference, others)
+    dists, classes = [], []
+    for label, responses in others.items:
+        d = _distances(reference, responses, granularity)
+        dists += d
+        classes += [others.training_class(label)] * len(d)
+    dists, classes = np.array(dists), np.array(classes)
     tau = None
     centroids = None
     if others.task == "binary":
@@ -324,8 +298,8 @@ def _threshold_class(t: ThresholdModel, d: float) -> int:
 
 def classify(
     verifier,
-    target_responses,
-    reference=None,
+    target: Responses,
+    reference: Responses | None = None,
     label_table=None,
 ) -> Verdict:
     """Aggregate per-query classifications of a target model into one verdict.
@@ -336,25 +310,18 @@ def classify(
     dict, names the verdict's pipeline; without it a threshold verifier uses
     the labels it was fitted on, and an ML verifier a bare label.
     """
-    if not target_responses:
-        raise DataError("target response list is empty")
     labels_by_class = dict(label_table or {})
     if isinstance(verifier, ThresholdModel):
         if reference is None:
             raise ConfigError("the threshold verifier needs the reference responses")
-        if verifier.granularity == "concatenated":
-            joined = _concatenated(target_responses)
-            dists = [_distance(_concatenated(reference), joined, "every query")]
-        else:
-            dists = _query_distances(reference, target_responses)
+        dists = _distances(reference, target, verifier.granularity)
         classes = [_threshold_class(verifier, d) for d in dists]
         labels_by_class = labels_by_class or verifier.labels_by_class
     elif isinstance(verifier, MLVerifier):
         dim = len(verifier.model.feature_names)
-        if any(rv.vector.size != dim for rv in target_responses):
+        if target.matrix.shape[1] != dim:
             raise DataError(f"the ml verifier takes response vectors of {dim} entries")
-        X = np.array([rv.vector for rv in target_responses], dtype=float)
-        P = verifier.model.predict_proba(X)
+        P = verifier.model.predict_proba(target.matrix)
         classes = [int(verifier.model.class_values[int(np.argmax(row))]) for row in P]
     else:
         raise ConfigError(f"unsupported verifier type {type(verifier).__name__}")
@@ -480,22 +447,20 @@ def load_verifier(path: str):
     return MLVerifier(model, task)
 
 
-def responses_to_csv(responses, feature_names, path) -> None:
-    """Write responses as CSV: feature columns, then intercept, then yhat."""
+def responses_to_csv(matrix, feature_names, path) -> None:
+    """Write a response matrix as CSV: feature columns, then intercept, then yhat."""
     dim = len(feature_names) + 2
+    if matrix.shape[1] != dim:
+        raise DataError(f"response vectors have {matrix.shape[1]} entries, expected {dim}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(feature_names) + ["intercept", "yhat"])
-        for rv in sorted(responses, key=lambda r: r.query_index):
-            if rv.vector.size != dim:
-                raise DataError(
-                    f"response vector has {rv.vector.size} entries, expected {dim}"
-                )
-            writer.writerow([repr(float(v)) for v in rv.vector])
+        writer.writerows([repr(float(v)) for v in row] for row in matrix)
 
 
-def responses_from_csv(path: str, model_tag: str | None = None) -> list:
-    """Read responses written by `responses_to_csv`."""
+def responses_from_csv(path: str, model_tag: str | None = None) -> Responses:
+    """The responses a `responses_to_csv` file holds, tagged `model_tag`
+    (default: the path)."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 2:
@@ -503,14 +468,12 @@ def responses_from_csv(path: str, model_tag: str | None = None) -> list:
     header = rows[0]
     if len(header) < 3 or header[-1] != "yhat" or header[-2] != "intercept":
         raise DataError(f"{path}: expected trailing intercept,yhat columns")
-    tag = model_tag if model_tag is not None else path
     out = []
     for q, row in enumerate(rows[1:]):
         try:
-            vec = np.array([float(v) for v in row], dtype=float)
+            out.append([float(v) for v in row])
         except ValueError:
             raise DataError(f"{path} line {q + 2}: non-numeric response cell") from None
-        if vec.size != len(header):
+        if len(row) != len(header):
             raise DataError(f"{path} line {q + 2}: wrong field count")
-        out.append(ResponseVector(vec, q, tag))
-    return out
+    return Responses(np.array(out), path if model_tag is None else model_tag)

@@ -3,9 +3,12 @@ import importlib.util
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ppverify.cli import main
 from ppverify.errors import ConfigError
@@ -395,6 +398,31 @@ def test_run_meta_times_each_stage_training_and_other_files_rerun_identically(tm
     assert set(paths[0]) == set(paths[1])
     for key in set(paths[0]) - {"run_meta"}:
         assert open(paths[0][key], "rb").read() == open(paths[1][key], "rb").read(), key
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    architecture=st.sampled_from(["logreg", "dtree", "rforest"]),
+    explainer=st.sampled_from(["lime", "shap"]),
+    task=st.sampled_from(["binary", "multi"]),
+    granularity=st.sampled_from(["per_query", "concatenated"]),
+    grid=st.lists(st.sampled_from([0.5, 2.0, math.inf]), min_size=1, max_size=2, unique=True),
+    seed=st.integers(0, 2**16),
+)
+def test_a_random_small_config_reruns_byte_identically(
+    architecture, explainer, task, granularity, grid, seed
+):
+    cfg = tiny_config(
+        synthetic=SyntheticSpec(rows=120, features=3, classes=2), trials=1, query_count=4,
+        architecture=architecture, explainer=explainer, task=task,
+        threshold_granularity=granularity, epsilon_grid=tuple(sorted(grid)),
+        lime_num_samples=100, shap_budget=32, master_seed=seed,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [emit_report(run_experiment(cfg), os.path.join(tmp, f"run{i}")) for i in (1, 2)]
+        assert set(paths[0]) == set(paths[1])
+        for key in set(paths[0]) - {"run_meta"}:
+            assert open(paths[0][key], "rb").read() == open(paths[1][key], "rb").read(), key
 
 
 def _write_mixed_csv(path):

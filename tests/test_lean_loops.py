@@ -120,11 +120,10 @@ def test_build_responses_equals_per_query_explainer_calls():
             # a second model explains the first 3 queries against another
             # background: its own rows, spread and geometries
             counted, short = BackgroundCounter(m, shap_background), queries.take(range(3))
-            out = build_responses([counted, m], [queries, short], cfg, [bg, other], ["a", "b"])
-            got = [rv.vector for rv in out]
+            out = build_responses([counted, m], [queries, short], cfg, [bg, other])
             want = _per_query_vectors(m, queries, cfg, bg) + _per_query_vectors(m, short, cfg, other)
-            assert [rv.model_tag for rv in out] == ["a"] * 6 + ["b"] * 3
-            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), (arch, cfg)
+            assert out.shape == (6 + 3, 5 + 2)  # model by model, a row per query
+            assert all(np.array_equal(a, b) for a, b in zip(out, want, strict=True)), (arch, cfg)
             if isinstance(cfg, ShapConfig):
                 assert counted.background_calls == 1  # once per model, not per query
 
@@ -146,11 +145,10 @@ def _stage():
 
 def _stage_responses(cfg, stage_models, query_sets, bg_idx):
     """build_responses over a stage as the experiment calls it, split back
-    into each model's responses."""
-    tags = [str(i) for i in range(len(stage_models))]
+    into each model's response matrix."""
     backgrounds = [te.take(bg_idx) for te in query_sets]
-    out = build_responses(stage_models, query_sets, cfg, backgrounds, tags)
-    return [[rv for rv in out if rv.model_tag == tag] for tag in tags]
+    out = build_responses(stage_models, query_sets, cfg, backgrounds)
+    return np.split(out, np.cumsum([te.n_rows for te in query_sets])[:-1])
 
 
 STAGE_CONFIGS = [
@@ -178,8 +176,8 @@ def test_a_stage_equals_per_query_explainer_calls(cfg, n_queries):
 
     for m, te, responses in zip(fitted, query_sets, got, strict=True):
         want = _per_query_vectors(m, te, cfg, te.take(bg_idx))
-        assert all(np.array_equal(rv.vector, w) for rv, w in zip(responses, want, strict=True))
-        assert [rv.query_index for rv in responses] == list(range(n_queries))
+        assert all(np.array_equal(row, w) for row, w in zip(responses, want, strict=True))
+        assert responses.shape == (n_queries, 5 + 2)
     # each query's draws are made once for the whole stage; exact SHAP's
     # coalitions depend on the feature count alone
     exact = isinstance(cfg, ShapConfig) and cfg.coalition_budget == EXACT
@@ -218,7 +216,7 @@ def test_a_stage_raises_the_first_failure_in_model_order():
     # a later model whose background cannot be set up fails after model 0 too
     with pytest.raises(DataError, match="model 0"):
         build_responses(models_, [query_sets[0]] * 2, cfg,
-                        [query_sets[0].take(bg_idx), np.zeros((3, 4))], ["a", "b"])
+                        [query_sets[0].take(bg_idx), np.zeros((3, 4))])
 
 
 LAYOUTS = {"equal": "AAA", "distinct": "ABC", "interleaved": "ABABA"}
@@ -246,7 +244,7 @@ def test_a_lime_stage_builds_each_query_geometry_once_per_query_set(layout, n_qu
 
     for m, te, responses in zip(stage_models, query_sets, got, strict=True):
         want = _per_query_vectors(m, te, cfg, te.take(bg_idx))
-        assert all(np.array_equal(rv.vector, w) for rv, w in zip(responses, want, strict=True))
+        assert all(np.array_equal(row, w) for row, w in zip(responses, want, strict=True))
     # one geometry per (query set, query)
     assert len(built) == len(set(built)) == len(set(LAYOUTS[layout])) * n_queries
 

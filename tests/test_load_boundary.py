@@ -13,7 +13,7 @@ from ppverify.models import TrainConfig
 from ppverify.preprocess import PipelineLabel
 from ppverify.verify import (
     LabeledResponseSet,
-    ResponseVector,
+    Responses,
     classify,
     fit_ml_verifier,
     fit_threshold_verifier,
@@ -57,11 +57,11 @@ GOLDEN = {
 
 
 def responses(cls):
-    return [ResponseVector(np.array(v), q, f"m{cls}") for q, v in enumerate(VECTORS[cls])]
+    return Responses(np.array(VECTORS[cls]), f"m{cls}")
 
 
 def labeled(classes, task):
-    return LabeledResponseSet.from_models(
+    return LabeledResponseSet(
         [(PipelineLabel(c, c == 0, () if c == 0 else None), responses(c)) for c in classes],
         task,
     )
@@ -158,6 +158,11 @@ CASES = (
         pytest.param("train", "{not json", 2, id="train-config-not-json"),
         pytest.param("train", "[1]", 2, id="train-config-a-list"),
         pytest.param("train", json.dumps({"l2": "big"}), 2, id="train-config-l2-a-string"),
+        pytest.param("train", json.dumps({"depth": 3}), 2, id="train-config-unknown-key"),
+        pytest.param("experiment", json.dumps({"trails": 2}), 2,
+                     id="experiment-config-unknown-key"),
+        pytest.param("experiment", json.dumps({"synthetic": {"row": 60}}), 2,
+                     id="experiment-synthetic-unknown-key"),
         pytest.param("experiment", "{not json", 2, id="experiment-config-not-json"),
         pytest.param("experiment", json.dumps({"trials": "2"}), 2,
                      id="experiment-config-trials-a-string"),
@@ -187,7 +192,7 @@ def test_malformed_file_is_a_config_or_data_error(tmp_path, capsys, command, tex
     data = tmp_path / "data.csv"
     data.write_text("f0,label\n0.5,0\n1.5,1\n2.5,0\n3.5,1\n", encoding="utf-8")
     for c in VECTORS:
-        responses_to_csv(responses(c), ("a",), str(tmp_path / f"r{c}.csv"))
+        responses_to_csv(responses(c).matrix, ("a",), str(tmp_path / f"r{c}.csv"))
     out = str(tmp_path / "out")
     argv = {
         "verify": ["verify", "--verifier", str(bad), "--target", str(tmp_path / "r1.csv"),
@@ -214,7 +219,7 @@ def test_cli_verify_names_the_query_and_model_of_a_zero_response(tmp_path, capsy
     verifier, target = tmp_path / "threshold.json", tmp_path / "target.csv"
     verifier.write_bytes(GOLDEN["threshold"].encode())
     target.write_text(ZERO_ROW_TARGET, encoding="utf-8")
-    responses_to_csv(responses(0), ("a",), str(tmp_path / "r0.csv"))
+    responses_to_csv(responses(0).matrix, ("a",), str(tmp_path / "r0.csv"))
     capsys.readouterr()
     argv = ["verify", "--verifier", str(verifier), "--target", str(target),
             "--reference", str(tmp_path / "r0.csv")]
@@ -224,16 +229,52 @@ def test_cli_verify_names_the_query_and_model_of_a_zero_response(tmp_path, capsy
 
 def test_classify_and_fit_name_the_query_and_model_of_a_zero_response():
     verifier = fit("threshold")[0]
-    target = [ResponseVector(np.array(v), q, "target") for q, v in enumerate(VECTORS[2])]
-    target[1] = ResponseVector(np.zeros(3), 1, "target")
+    target = Responses(np.array(VECTORS[2]), "target")
+    target.matrix[1] = 0.0
     with pytest.raises(DataError) as exc:
         classify(verifier, target, reference=responses(0))
     assert str(exc.value) == ZERO_ROW_ERROR
+    # the reference's zero row is named as the reference's
+    reference = Responses(np.array(VECTORS[0]), "m0")
+    reference.matrix[2] = 0.0
+    with pytest.raises(DataError, match=r"^model 'm0' responds to query 2 with a zero"):
+        classify(verifier, responses(2), reference=reference)
     # a model whose every response is zero, under concatenated granularity
-    zero = [ResponseVector(np.zeros(3), q, "m1") for q in range(4)]
-    data = LabeledResponseSet.from_models(
+    zero = Responses(np.zeros((4, 3)), "m1")
+    data = LabeledResponseSet(
         [(PipelineLabel(0, True, ()), responses(0)), (PipelineLabel(1, False, None), zero)],
         "binary",
     )
     with pytest.raises(DataError, match=r"^model 'm1' responds to every query with a zero"):
         fit_threshold_verifier(responses(0), data, "concatenated")
+
+
+def test_cli_verify_rejects_a_target_that_skips_a_reference_query(tmp_path, capsys):
+    # a target CSV one row short used to be voted on its first rows only
+    verifier, target = tmp_path / "threshold.json", tmp_path / "target.csv"
+    verifier.write_bytes(GOLDEN["threshold"].encode())
+    responses_to_csv(responses(2).matrix[:-1], ("a",), str(target))
+    responses_to_csv(responses(0).matrix, ("a",), str(tmp_path / "r0.csv"))
+    capsys.readouterr()
+    argv = ["verify", "--verifier", str(verifier), "--target", str(target),
+            "--reference", str(tmp_path / "r0.csv")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        "data error: model 'target' gives (3, 3) responses where the reference gives (4, 3)"
+    )
+
+
+@pytest.mark.parametrize("method, granularity", [
+    ("ml", "per_query"), ("threshold", "per_query"), ("threshold", "concatenated"),
+])
+def test_cli_fit_verifier_rejects_one_file_under_two_class_ids(tmp_path, capsys, method,
+                                                                granularity):
+    path = str(tmp_path / "r.csv")
+    responses_to_csv(responses(0).matrix, ("a",), path)
+    capsys.readouterr()
+    argv = ["fit-verifier", "--method", method, "--granularity", granularity,
+            "--responses", f"1={path}", "--responses", f"2={path}", "--reference", path,
+            "--output", str(tmp_path / "v.json")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == f"data error: model tag {path!r} carries conflicting labels"

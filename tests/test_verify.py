@@ -14,7 +14,7 @@ from ppverify.models import TrainConfig
 from ppverify.preprocess import PipelineLabel
 from ppverify.verify import (
     LabeledResponseSet,
-    ResponseVector,
+    Responses,
     build_responses,
     classify,
     cosine_distance,
@@ -28,7 +28,7 @@ from ppverify.verify import (
 
 
 def make_responses(vectors, tag="m"):
-    return [ResponseVector(np.asarray(v, dtype=float), q, tag) for q, v in enumerate(vectors)]
+    return Responses(np.asarray(vectors, dtype=float), tag)
 
 
 def labeled_set(by_class, task="binary"):
@@ -36,7 +36,7 @@ def labeled_set(by_class, task="binary"):
     for cls, vectors in by_class.items():
         label = PipelineLabel(cls, cls == 0, () if cls == 0 else None)
         items.append((label, make_responses(vectors, tag=f"m{cls}")))
-    return LabeledResponseSet.from_models(items, task)
+    return LabeledResponseSet(items, task)
 
 
 def test_cosine_distance_analytic_values():
@@ -69,22 +69,23 @@ def test_build_responses_shape_and_determinism(rng):
     model = LinearProbModel([0.3, -0.2, 0.1], intercept=0.5, feature_names=("f0", "f1", "f2"))
     queries = build_dataset(np.column_stack([rng.normal(size=(8, 3)), np.zeros(8)]))
     cfg = LimeConfig(num_samples=300, seed=4)
-    out = build_responses([model], [queries], cfg, [queries], [""])
+    out = build_responses([model], [queries], cfg, [queries])
     assert len(out) == 8
-    assert all(rv.vector.size == 3 + 2 for rv in out)  # attributions + intercept + yhat
-    assert [rv.query_index for rv in out] == list(range(8))
-    again = build_responses([model], [queries], cfg, [queries], [""])
-    for a, b in zip(out, again):
-        assert np.array_equal(a.vector, b.vector)
+    assert out.shape == (8, 3 + 2)  # a row per query: attributions + intercept + yhat
+    again = build_responses([model], [queries], cfg, [queries])
+    assert np.array_equal(out, again)
+    # row q answers query q alone: the first three queries give the first three rows
+    assert np.array_equal(build_responses([model], [queries.take(range(3))], cfg, [queries]),
+                          out[:3])
 
 
 def test_build_responses_yhat_is_class_index(rng):
     model = LinearProbModel([1.0, 0.0], intercept=0.0)
     queries = build_dataset([[0.9, 0.0, 0.0], [0.1, 0.0, 0.0]])
     cfg = ShapConfig(coalition_budget=EXACT, seed=0)
-    out = build_responses([model], [queries], cfg, [queries], [""])
-    assert out[0].vector[-1] == 1.0
-    assert out[1].vector[-1] == 0.0
+    out = build_responses([model], [queries], cfg, [queries])
+    assert out[0][-1] == 1.0
+    assert out[1][-1] == 0.0
 
 
 class CountingModel(LinearProbModel):
@@ -106,11 +107,11 @@ def test_build_responses_yhat_is_the_prediction_with_or_without_override(explain
         cfg = LimeConfig(num_samples=100, seed=3, explained_class=override)
     else:
         cfg = ShapConfig(coalition_budget=EXACT, seed=3, explained_class=override)
-    out = build_responses([model], [queries], cfg, [queries], [""])
+    out = build_responses([model], [queries], cfg, [queries])
     # one predict per query: by the explainer, or for yhat when the class is fixed
     assert model.calls == len(out)
     X = queries.feature_matrix()
-    assert [rv.vector[-1] for rv in out] == [float(model.predict(x)) for x in X]
+    assert out[:, -1].tolist() == [float(model.predict(x)) for x in X]
     assert {model.predict(x) for x in X} == {0, 1}  # the override differs for some rows
 
 
@@ -118,14 +119,30 @@ def test_build_responses_rejects_missing_query_cells():
     model = LinearProbModel([0.1, 0.1])
     queries = build_dataset([[np.nan, 0.0, 1.0]])
     with pytest.raises(DataError):
-        build_responses([model], [queries], LimeConfig(seed=0), [queries], [""])
+        build_responses([model], [queries], LimeConfig(seed=0), [queries])
+
+
+def test_build_responses_names_the_first_model_whose_queries_differ_in_width():
+    models = [LinearProbModel([0.1] * k) for k in (2, 2, 3, 1)]
+    query_sets = [build_dataset([[0.5] * k + [0.0]]) for k in (2, 2, 3, 1)]
+    with pytest.raises(DataError, match=r"^model 2 queries 3 features, model 0 2$"):
+        build_responses(models, query_sets, LimeConfig(num_samples=20, seed=0), query_sets)
+
+
+def test_every_public_name_resolves():
+    import ppverify
+
+    assert [name for name in ppverify.__all__ if not hasattr(ppverify, name)] == []
+    assert "Responses" in ppverify.__all__
+    assert not hasattr(ppverify, "ResponseVector")
+    assert not hasattr(ppverify.verify, "ResponseVector")
 
 
 def test_build_responses_lime_needs_background():
     model = LinearProbModel([0.1, 0.1])
     queries = build_dataset([[0.0, 0.0, 1.0]])
     with pytest.raises(ConfigError):
-        build_responses([model], [queries], LimeConfig(seed=0), [None], [""])
+        build_responses([model], [queries], LimeConfig(seed=0), [None])
 
 
 def test_ml_verifier_separates_clean_clusters():
@@ -287,12 +304,10 @@ def test_responses_csv_roundtrip(tmp_path, rng):
     vectors = rng.normal(size=(6, 5)).tolist()
     responses = make_responses(vectors, tag="orig")
     path = tmp_path / "resp.csv"
-    responses_to_csv(responses, ("a", "b", "c"), str(path))
+    responses_to_csv(responses.matrix, ("a", "b", "c"), str(path))
     back = responses_from_csv(str(path), model_tag="orig")
-    assert len(back) == 6
-    for a, b in zip(responses, back):
-        assert np.array_equal(a.vector, b.vector)
-        assert a.query_index == b.query_index
+    assert back.tag == "orig"
+    assert np.array_equal(back.matrix, responses.matrix)  # row for row
 
 
 def test_responses_csv_header_is_checked(tmp_path):
