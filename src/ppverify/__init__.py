@@ -27,7 +27,7 @@ from .explain import (
     lime_explain,
     shap_explain,
 )
-from .ldp import INFINITE, LaplaceParams, PrivacyBudget, laplace_sample, privatize, snap
+from .ldp import INFINITE, PrivacyBudget, laplace_sample, laplace_scale, privatize, snap
 from .membership import AttackConfig, AttackResult, mia_power, min_hamming
 from .models import (
     TrainConfig,
@@ -47,8 +47,8 @@ from .preprocess import (
     drop_outliers,
     encode_nonnumeric,
     enumerate_pipelines,
-    fit_scaler,
     resample_oversample,
+    standardize,
 )
 from .seeding import derive_seed
 from .tabular import (
@@ -96,7 +96,6 @@ __all__ = [
     "Explanation",
     "INFINITE",
     "LabeledResponseSet",
-    "LaplaceParams",
     "LimeConfig",
     "MLVerifier",
     "PPVerifyError",
@@ -124,9 +123,9 @@ __all__ = [
     "enumerate_pipelines",
     "exact_shapley",
     "fit_ml_verifier",
-    "fit_scaler",
     "fit_threshold_verifier",
     "laplace_sample",
+    "laplace_scale",
     "lime_explain",
     "load_csv",
     "load_model",
@@ -148,6 +147,7 @@ __all__ = [
     "shap_explain",
     "snap",
     "split",
+    "standardize",
     "summarize",
     "train",
     "write_csv",

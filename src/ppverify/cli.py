@@ -114,7 +114,7 @@ def cmd_preprocess(args) -> int:
             f"pipeline bitmask {args.pipeline} is not part of mode {args.mode!r}"
         )
     test = _load_dataset(args.test, args.schema) if args.test else None
-    tr, te, _ = apply_pipeline(d, test, pipeline, args.seed)
+    tr, te = apply_pipeline(d, test, pipeline, args.seed)
     write_csv(tr, args.output)
     if te is not None:
         if not args.test_output:

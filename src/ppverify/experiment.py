@@ -232,7 +232,7 @@ def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, clo
             parts.insert(3, eps_index)
         train_cfg = TrainConfig(architecture=cfg.architecture, seed=derive_seed(*parts, "train"))
         try:
-            tr, te, _ = apply_pipeline(data, queries, pipe, derive_seed(*parts, "pipe"))
+            tr, te = apply_pipeline(data, queries, pipe, derive_seed(*parts, "pipe"))
             training_arrays(tr, train_cfg)
         except PPVerifyError as exc:
             failure = exc

@@ -43,7 +43,6 @@ class Explanation:
     attributions: np.ndarray
     intercept_or_base: float
     explained_class: int
-    explainer: str
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,6 @@ class LimeConfig:
     num_samples: int = 2000
     kernel_width: float | None = None
     ridge_strength: float = 1e-3
-    perturbation_scale: float = 1.0
     seed: int = 0
     explained_class: int | None = None
 
@@ -203,7 +201,7 @@ def _lime_geometry(probe: Probe, x, cfg: LimeConfig) -> tuple:
 
     key = _draw_key(cfg, M)
     (N,) = _shared(probe, key, lambda: _draw(key))
-    Z = x + N * (cfg.perturbation_scale * sigma)
+    Z = x + N * sigma
     scaled = np.where(sigma > 0, (Z - x) / np.where(sigma > 0, sigma, 1.0), 0.0)
     d2 = np.sum(scaled * scaled, axis=1)
     w = np.exp(-d2 / (width * width))
@@ -217,10 +215,9 @@ def _lime_geometry(probe: Probe, x, cfg: LimeConfig) -> tuple:
 def lime_explain(m, x, cfg: LimeConfig, background) -> Explanation:
     """Fit a weighted linear surrogate around `x` and return its coefficients.
 
-    Perturbations are Gaussian around `x` with per-feature spread
-    `perturbation_scale` times the background standard deviation. Sample
-    weights decay as exp(-d^2 / kernel_width^2) in sigma-scaled Euclidean
-    distance. The surrogate is a weighted ridge regression, with an
+    Perturbations are Gaussian around `x`, each feature spread by its
+    background standard deviation. Sample weights decay as
+    exp(-d^2 / kernel_width^2) in sigma-scaled Euclidean distance. The surrogate is a weighted ridge regression, with an
     unpenalized intercept, of the model's predicted probability of the
     explained class; only that right-hand side depends on the model.
     """
@@ -235,7 +232,7 @@ def lime_explain(m, x, cfg: LimeConfig, background) -> Explanation:
         beta = np.linalg.solve(G, b)
     except np.linalg.LinAlgError:
         beta = np.linalg.lstsq(G, b, rcond=None)[0]
-    return Explanation(beta[:-1], float(beta[-1]), cls, "lime")
+    return Explanation(beta[:-1], float(beta[-1]), cls)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +298,7 @@ def shap_explain(m, x, cfg: ShapConfig, background) -> Explanation:
     fx = float(px[cls])
 
     if M == 1:
-        return Explanation(np.array([fx - f0]), f0, cls, "shap")
+        return Explanation(np.array([fx - f0]), f0, cls)
 
     key = _draw_key(cfg, M)
     masks, weights = _shared(probe, key, lambda: _draw(key))
@@ -314,7 +311,7 @@ def shap_explain(m, x, cfg: ShapConfig, background) -> Explanation:
     sw = np.sqrt(weights)
     beta = np.linalg.lstsq(D * sw[:, None], t * sw, rcond=None)[0]
     phi = np.append(beta, (fx - f0) - beta.sum())
-    return Explanation(phi, f0, cls, "shap")
+    return Explanation(phi, f0, cls)
 
 
 # ---------------------------------------------------------------------------

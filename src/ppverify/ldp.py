@@ -50,19 +50,9 @@ class PrivacyBudget:
             raise ConfigError(f"cannot parse epsilon {text!r}") from None
 
 
-@dataclass(frozen=True)
-class LaplaceParams:
-    """Location/scale of the noise applied to one column."""
-
-    scale: float
-    sensitivity: float
-    mu: float = 0.0
-
-    @classmethod
-    def for_column(cls, stats: ColumnStats, budget: PrivacyBudget) -> "LaplaceParams":
-        sensitivity = stats.maximum - stats.minimum
-        scale = 0.0 if budget.is_infinite else sensitivity / budget.epsilon
-        return cls(scale=scale, sensitivity=sensitivity)
+def laplace_scale(stats: ColumnStats, budget: PrivacyBudget) -> float:
+    """Scale of one column's noise: its observed range over epsilon, 0 at inf."""
+    return 0.0 if budget.is_infinite else (stats.maximum - stats.minimum) / budget.epsilon
 
 
 def _laplace_noise(scale: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -131,14 +121,12 @@ def privatize(
         if col.is_label and not noise_label:
             continue
         stats = column_stats(d, j)
-        params = LaplaceParams.for_column(stats, budget)
-        if params.scale == 0.0:
+        scale = laplace_scale(stats, budget)
+        if scale == 0.0:
             continue
         column = out[:, j]
         observed = ~np.isnan(column)
         rng = np.random.default_rng(derive_seed(seed, "ldp-column", j))
-        noised = column[observed] + _laplace_noise(params.scale, int(observed.sum()), rng)
+        noised = column[observed] + _laplace_noise(scale, int(observed.sum()), rng)
         column[observed] = _snap_array(noised, stats, col.kind)
-    eps_text = "inf" if budget.is_infinite else f"{budget.epsilon:g}"
-    tag = f"{d.seed_provenance}/ldp(eps={eps_text},seed={seed})"
-    return d.with_values(out, provenance=tag)
+    return d.with_values(out)

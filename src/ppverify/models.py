@@ -85,11 +85,8 @@ class Predictor:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def predict_distribution(self, x: np.ndarray) -> np.ndarray:
-        return self.predict_proba(np.asarray(x, dtype=float)[None, :])[0]
-
     def predict(self, x: np.ndarray) -> int:
-        return int(np.argmax(self.predict_distribution(x)))
+        return int(np.argmax(self.predict_proba(np.asarray(x, dtype=float)[None, :])[0]))
 
     def _payload(self) -> dict:
         raise NotImplementedError
@@ -335,7 +332,9 @@ def _best_splits(X, value_rank, srow, snode, sy, size, counts, cand, min_leaf):
         j = np.flatnonzero(src >= 0)
         best_f[j], e = slots[j, src[j]], end_sj[src[j], j]
         lo, hi = srow[order.flat[e - 1]], srow[order.flat[e]]
-        best_t[j] = 0.5 * (X[lo, best_f[j]] + X[hi, best_f[j]])
+        below, above = X[lo, best_f[j]], X[hi, best_f[j]]
+        mid = 0.5 * (below + above)  # rounds onto `above` when they are one ulp apart
+        best_t[j] = np.where(mid < above, mid, below)
     return best_f, best_t
 
 

@@ -101,16 +101,6 @@ class PipelineLabel:
             raise ConfigError("the proper pipeline omits nothing")
 
 
-@dataclass(frozen=True)
-class ScalerState:
-    """Per-column standardization parameters fitted on a training set."""
-
-    column_indices: tuple[int, ...]
-    column_names: tuple[str, ...]
-    means: tuple[float, ...]
-    stddevs: tuple[float, ...]
-
-
 def drop_missing(d: Dataset) -> Dataset:
     """Remove every row containing at least one missing cell."""
     keep = ~np.isnan(d.values).any(axis=1)
@@ -133,7 +123,7 @@ def encode_nonnumeric(d: Dataset) -> Dataset:
         else c
         for c in d.schema
     )
-    return d.with_schema(schema)
+    return Dataset(schema, d.values)
 
 
 def drop_duplicates(d: Dataset) -> Dataset:
@@ -172,47 +162,35 @@ def drop_outliers(d: Dataset) -> Dataset:
     return d.take(np.flatnonzero(~bad))
 
 
-def fit_scaler(train: Dataset) -> ScalerState:
-    """Fit standardization parameters on the non-label numeric columns."""
-    indices, names, means, stds = [], [], [], []
+def standardize(train: Dataset, test: Dataset | None = None) -> tuple[Dataset, Dataset | None]:
+    """Standardize the non-label numeric columns of `train`, and of `test`
+    when given, by train's mean and population stddev over observed cells.
+
+    Columns whose stddev is 0 map to 0, and missing cells stay missing.
+    Scaled columns become numeric-continuous, since standardized values are
+    no longer codes. `test` must name its columns as train does at every
+    scaled position.
+    """
+    stats = {}  # column index -> (mean, stddev) over train's observed cells
     for j, col in enumerate(train.schema):
         if col.is_label or col.kind == KIND_CATEGORICAL:
             continue
-        column = train.column(j)
-        observed = column[~np.isnan(column)]
-        indices.append(j)
-        names.append(col.name)
-        if observed.size == 0:
-            means.append(0.0)
-            stds.append(0.0)
-        else:
-            means.append(float(observed.mean()))
-            stds.append(float(observed.std()))
-    return ScalerState(tuple(indices), tuple(names), tuple(means), tuple(stds))
+        observed = train.column(j)[~np.isnan(train.column(j))]
+        stats[j] = (float(observed.mean()), float(observed.std())) if observed.size else (0.0, 0.0)
+    names = [train.schema[j].name for j in stats]
+    if test is not None and names != [test.schema[j].name for j in stats if j < test.n_cols]:
+        raise DataError(f"test columns do not match the standardized training columns {names}")
 
+    def scale(d: Dataset) -> Dataset:
+        out, schema = np.array(d.values, copy=True), list(d.schema)
+        for j, (mean, sd) in stats.items():
+            column = out[:, j]
+            observed = ~np.isnan(column)
+            column[observed] = 0.0 if sd == 0 else (column[observed] - mean) / sd
+            schema[j] = ColumnSchema(d.schema[j].name, KIND_CONTINUOUS, (), d.schema[j].is_label)
+        return Dataset(tuple(schema), out)
 
-def apply_scaler(d: Dataset, scaler: ScalerState) -> Dataset:
-    """Standardize with previously fitted parameters.
-
-    Columns whose fitted stddev is 0 map to 0. Scaled columns become
-    numeric-continuous since standardized values are no longer codes.
-    """
-    names = tuple(
-        d.schema[j].name if j < d.n_cols else None for j in scaler.column_indices
-    )
-    if names != scaler.column_names:
-        raise DataError("scaler was fitted on different columns")
-    out = np.array(d.values, copy=True)
-    schema = list(d.schema)
-    for j, mean, sd in zip(scaler.column_indices, scaler.means, scaler.stddevs):
-        column = out[:, j]
-        observed = ~np.isnan(column)
-        if sd == 0:
-            column[observed] = 0.0
-        else:
-            column[observed] = (column[observed] - mean) / sd
-        schema[j] = ColumnSchema(d.schema[j].name, KIND_CONTINUOUS, (), d.schema[j].is_label)
-    return Dataset(tuple(schema), out, d.seed_provenance)
+    return scale(train), None if test is None else scale(test)
 
 
 def resample_oversample(d: Dataset, seed: int) -> Dataset:
@@ -245,32 +223,28 @@ def apply_pipeline(
     test: Dataset | None,
     pipeline: Pipeline,
     seed: int,
-) -> tuple[Dataset, Dataset | None, ScalerState | None]:
+) -> tuple[Dataset, Dataset | None]:
     """Apply the required steps plus `pipeline`'s optional steps.
 
     The training set receives everything. The test set receives only the
     required steps (drop missing, encode) and, when step 3 is present, the
-    scaler fitted on the training set; it is never deduplicated,
+    training set's standardization; it is never deduplicated,
     outlier-filtered or resampled.
     """
     tr = encode_nonnumeric(drop_missing(train))
     te = encode_nonnumeric(drop_missing(test)) if test is not None else None
-    scaler = None
     for step in pipeline.steps:
         if step == DROP_DUPLICATES:
             tr = drop_duplicates(tr)
         elif step == DROP_OUTLIERS:
             tr = drop_outliers(tr)
         elif step == STANDARDIZE:
-            scaler = fit_scaler(tr)
-            tr = apply_scaler(tr, scaler)
-            if te is not None:
-                te = apply_scaler(te, scaler)
+            tr, te = standardize(tr, te)
         elif step == OVERSAMPLE:
             tr = resample_oversample(tr, derive_seed(seed, "oversample"))
     if tr.n_rows == 0:
         raise DataError(f"pipeline {pipeline.describe()} emptied the training set")
-    return tr, te, scaler
+    return tr, te
 
 
 def enumerate_pipelines(mode: str = "paper-compat") -> list[tuple[Pipeline, PipelineLabel]]:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,23 +64,18 @@ class ColumnStats:
 
     minimum: float
     maximum: float
-    mean: float
-    stddev: float  # population standard deviation
     distinct_values: np.ndarray
-    missing_count: int
 
 
 @dataclass
 class Dataset:
     """An immutable table of typed columns.
 
-    Exactly one column must be flagged `is_label`. `seed_provenance` is a
-    free-text tag recording how the dataset was produced.
+    Exactly one column must be flagged `is_label`.
     """
 
     schema: tuple[ColumnSchema, ...]
     values: np.ndarray
-    seed_provenance: str = ""
 
     def __post_init__(self):
         self.schema = tuple(self.schema)
@@ -140,17 +134,12 @@ class Dataset:
     def labels(self) -> np.ndarray:
         return self.values[:, self.label_index]
 
-    def take(self, row_indices, provenance: str | None = None) -> "Dataset":
+    def take(self, row_indices) -> "Dataset":
         """New dataset holding the given rows, in the given order."""
-        tag = self.seed_provenance if provenance is None else provenance
-        return Dataset(self.schema, self.values[np.asarray(row_indices, dtype=int)], tag)
+        return Dataset(self.schema, self.values[np.asarray(row_indices, dtype=int)])
 
-    def with_values(self, values: np.ndarray, provenance: str | None = None) -> "Dataset":
-        tag = self.seed_provenance if provenance is None else provenance
-        return Dataset(self.schema, values, tag)
-
-    def with_schema(self, schema) -> "Dataset":
-        return Dataset(tuple(schema), self.values, self.seed_provenance)
+    def with_values(self, values: np.ndarray) -> "Dataset":
+        return Dataset(self.schema, values)
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
@@ -170,14 +159,7 @@ def column_stats(d: Dataset, index: int) -> ColumnStats:
     observed = col[~np.isnan(col)]
     if observed.size == 0:
         raise DataError(f"column {d.schema[index].name!r} has no observed values")
-    return ColumnStats(
-        minimum=float(observed.min()),
-        maximum=float(observed.max()),
-        mean=float(observed.mean()),
-        stddev=float(observed.std()),
-        distinct_values=np.unique(observed),
-        missing_count=int(col.size - observed.size),
-    )
+    return ColumnStats(float(observed.min()), float(observed.max()), np.unique(observed))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +274,7 @@ def load_csv(path: str, schema="infer") -> Dataset:
                     ) from None
                 if not math.isnan(v):
                     values[i, j] = v
-    return Dataset(cols, values, seed_provenance=f"csv:{os.path.basename(path)}")
+    return Dataset(cols, values)
 
 
 def _format_cell(v: float, col: ColumnSchema) -> str:
@@ -363,13 +345,7 @@ def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datase
         raise DataError("need at least 2 rows to split")
     k = int(math.floor(n * train_fraction + 0.5))
     perm = np.random.default_rng(seed).permutation(n)
-    train_idx = np.sort(perm[:k])
-    test_idx = np.sort(perm[k:])
-    tag = d.seed_provenance
-    return (
-        d.take(train_idx, provenance=f"{tag}/train"),
-        d.take(test_idx, provenance=f"{tag}/test"),
-    )
+    return d.take(np.sort(perm[:k])), d.take(np.sort(perm[k:]))
 
 
 def sample_rows(d: Dataset, n: int, seed: int) -> Dataset:
@@ -377,7 +353,7 @@ def sample_rows(d: Dataset, n: int, seed: int) -> Dataset:
     if n > d.n_rows:
         raise DataError(f"cannot sample {n} rows from {d.n_rows}")
     idx = np.random.default_rng(seed).permutation(d.n_rows)[:n]
-    return d.take(idx, provenance=f"{d.seed_provenance}/sample{n}")
+    return d.take(idx)
 
 
 # ---------------------------------------------------------------------------
@@ -499,4 +475,4 @@ def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         + [ColumnSchema("label", KIND_DISCRETE, is_label=True)]
     )
     values = np.column_stack([X, labels.astype(float)])
-    return Dataset(schema, values, seed_provenance=f"synthetic(seed={seed})")
+    return Dataset(schema, values)

@@ -32,14 +32,23 @@ GRANULARITIES = ("per_query", "concatenated")
 class Responses:
     """One model's answers to a query set: row q stacks query q's
     attributions, intercept (or SHAP base value) and predicted label. `tag`
-    names the model in errors."""
+    names the model in errors. `columns`, when known (a CSV header), names
+    the matrix's columns; responses are comparable only under equal names."""
 
     matrix: np.ndarray
     tag: str = ""
+    columns: tuple = ()
 
     def __post_init__(self):
         if self.matrix.ndim != 2 or not self.matrix.size:
             raise DataError(f"model {self.tag!r} has no responses")
+
+
+def _check_columns(first: Responses, other: Responses) -> None:
+    """Raise DataError when both responses name their columns, differently."""
+    if first.columns and other.columns and first.columns != other.columns:
+        raise DataError(f"model {other.tag!r} has response columns {','.join(other.columns)} "
+                        f"where model {first.tag!r} has {','.join(first.columns)}")
 
 
 @dataclass
@@ -56,6 +65,7 @@ class LabeledResponseSet:
             raise DataError("labeled response set is empty")
         labels: dict = {}
         for label, responses in self.items:
+            _check_columns(self.items[0][1], responses)
             if labels.setdefault(responses.tag, label) != label:
                 raise DataError(f"model tag {responses.tag!r} carries conflicting labels")
 
@@ -187,7 +197,7 @@ def fit_ml_verifier(data: LabeledResponseSet, cfg: TrainConfig | None = None) ->
         [ColumnSchema(f"r{i}", KIND_CONTINUOUS) for i in range(dim)]
         + [ColumnSchema("pipeline_class", KIND_DISCRETE, is_label=True)]
     )
-    ds = Dataset(schema, np.column_stack([X, y]), seed_provenance="responses")
+    ds = Dataset(schema, np.column_stack([X, y]))
     return MLVerifier(train(ds, cfg), data.task)
 
 
@@ -198,7 +208,9 @@ def fit_ml_verifier(data: LabeledResponseSet, cfg: TrainConfig | None = None) ->
 def _distances(reference: Responses, responses: Responses, granularity: str) -> list:
     """Cosine distances of `responses` to `reference`: one per query row
     (per_query), or one between the whole matrices (concatenated). Every
-    response set answers the reference's queries row for row."""
+    response set answers the reference's queries row for row, under the
+    reference's column names when both name them."""
+    _check_columns(reference, responses)
     if responses.matrix.shape != reference.matrix.shape:
         raise DataError(
             f"model {responses.tag!r} gives {responses.matrix.shape} responses where the "
@@ -476,4 +488,4 @@ def responses_from_csv(path: str, model_tag: str | None = None) -> Responses:
             raise DataError(f"{path} line {q + 2}: non-numeric response cell") from None
         if len(row) != len(header):
             raise DataError(f"{path} line {q + 2}: wrong field count")
-    return Responses(np.array(out), path if model_tag is None else model_tag)
+    return Responses(np.array(out), path if model_tag is None else model_tag, tuple(header))

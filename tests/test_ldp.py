@@ -9,9 +9,9 @@ from conftest import build_dataset
 from ppverify.errors import ConfigError
 from ppverify.ldp import (
     INFINITE,
-    LaplaceParams,
     PrivacyBudget,
     laplace_sample,
+    laplace_scale,
     privatize,
     snap,
     snap_to_nearest,
@@ -44,9 +44,8 @@ def test_budget_must_be_positive():
 def test_scale_is_range_over_epsilon():
     d = build_dataset([[0.0, 0.0], [10.0, 1.0]])
     stats = column_stats(d, 0)
-    params = LaplaceParams.for_column(stats, PrivacyBudget(2.0))
-    assert params.scale == pytest.approx(5.0)
-    assert LaplaceParams.for_column(stats, PrivacyBudget(INFINITE)).scale == 0.0
+    assert laplace_scale(stats, PrivacyBudget(2.0)) == pytest.approx(5.0)
+    assert laplace_scale(stats, PrivacyBudget(INFINITE)) == 0.0
 
 
 def test_laplace_sample_statistics():

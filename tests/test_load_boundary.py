@@ -278,3 +278,41 @@ def test_cli_fit_verifier_rejects_one_file_under_two_class_ids(tmp_path, capsys,
     assert main(argv) == 3
     err = capsys.readouterr().err.strip()
     assert err == f"data error: model tag {path!r} carries conflicting labels"
+
+
+def two_feature_csvs(tmp_path):
+    """A reference CSV headed a,b,... and a target CSV of the same numbers
+    headed b,a,..., so that pairing columns by position finds them equal."""
+    matrix = np.array([[0.3, 0.1, 0.5, 1.0], [0.2, 0.4, 0.5, 0.0], [0.6, 0.1, 0.4, 1.0]])
+    reference, target = str(tmp_path / "ref.csv"), str(tmp_path / "target.csv")
+    responses_to_csv(matrix, ("a", "b"), reference)
+    responses_to_csv(matrix, ("b", "a"), target)
+    return reference, target
+
+
+@pytest.mark.parametrize("granularity", ["per_query", "concatenated"])
+def test_cli_verify_rejects_a_target_whose_columns_are_permuted(tmp_path, capsys, granularity):
+    # by position the target equals the reference: proper, confidence 1.0
+    reference, target = two_feature_csvs(tmp_path)
+    verifier = tmp_path / "threshold.json"
+    verifier.write_text(edit("threshold", lambda e: e["payload"].update(granularity=granularity)))
+    capsys.readouterr()
+    argv = ["verify", "--verifier", str(verifier), "--target", target, "--reference", reference]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.strip() == (
+        "data error: model 'target' has response columns b,a,intercept,yhat "
+        "where model 'reference' has a,b,intercept,yhat")
+
+
+@pytest.mark.parametrize("method", ["ml", "threshold"])
+def test_cli_fit_verifier_rejects_a_responses_file_whose_columns_are_permuted(tmp_path, capsys,
+                                                                              method):
+    reference, target = two_feature_csvs(tmp_path)
+    capsys.readouterr()
+    argv = ["fit-verifier", "--method", method, "--responses", f"0={reference}",
+            "--responses", f"1={target}", "--reference", reference,
+            "--output", str(tmp_path / "v.json")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.strip() == (
+        f"data error: model {target!r} has response columns b,a,intercept,yhat "
+        f"where model {reference!r} has a,b,intercept,yhat")

@@ -3,7 +3,9 @@ validation of tree payloads at the model-file boundary."""
 
 import copy
 import json
+import math
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,7 @@ from conftest import build_dataset
 from ppverify import models
 from ppverify.cli import main
 from ppverify.errors import DataError
+from ppverify.experiment import ExperimentConfig, run_experiment
 from ppverify.models import (
     TrainConfig,
     load_model,
@@ -23,6 +26,7 @@ from ppverify.models import (
     save_model,
     train,
 )
+from ppverify.tabular import SyntheticSpec
 
 
 @st.composite
@@ -96,6 +100,60 @@ def test_many_class_predictions_equal_the_reference_in_slot_batches(problem, cel
     with mock.patch.object(models, "_SPLIT_CELLS", cells):  # a level spans batches
         model = train(build_dataset(np.column_stack([X, y])), cfg)
     assert np.array_equal(model.predict_proba(X), reference_proba(X, y, k, cfg, X))
+
+
+@st.composite
+def ulp_adjacent_problems(draw):
+    """A table whose every column holds a few values one ulp apart, where a
+    midpoint threshold may round onto the upper value."""
+    n, d, k = draw(st.integers(4, 30)), draw(st.integers(1, 3)), draw(st.sampled_from([2, 3]))
+    base = draw(st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=d, max_size=d))
+    ladder = np.array(base)[None, :]
+    for _ in range(3):
+        ladder = np.vstack([ladder, np.nextafter(ladder[-1], np.inf)])
+    steps = np.array(draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d)))
+    X = ladder[steps.reshape(n, d), np.arange(d)]
+    y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    y[:k] = np.arange(k)  # every class occurs
+    cfg = TrainConfig(
+        architecture=draw(st.sampled_from(["dtree", "rforest"])),
+        seed=draw(st.integers(0, 2**16)),
+        max_depth=draw(st.integers(1, 6)),
+        min_leaf=1,
+        n_trees=draw(st.integers(1, 4)),
+    )
+    return X, y, k, cfg
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=ulp_adjacent_problems())
+def test_splits_between_ulp_adjacent_values_leave_both_children_non_empty(problem):
+    X, y, k, cfg = problem
+    model = train(build_dataset(np.column_stack([X, y])), cfg)
+    # a node that no training row reaches has the class distribution 0/0
+    assert np.isfinite(model.trees.dist).all()
+    P = model.predict_proba(np.vstack([X, np.nextafter(X, -np.inf), np.nextafter(X, np.inf)]))
+    assert np.isfinite(P).all() and np.allclose(P.sum(axis=1), 1.0)
+    assert np.array_equal(model.predict_proba(X), reference_proba(X, y, k, cfg, X))
+
+
+def test_a_split_between_two_values_one_ulp_apart_thresholds_at_the_lower():
+    lo, hi = 0.1531746031746031, 0.15317460317460313  # 0.5 * (lo + hi) == hi
+    model = train(build_dataset([[lo, 0.0], [hi, 1.0]]), TrainConfig("dtree", min_leaf=1))
+    assert model.trees.threshold[0] == lo
+    assert model.predict_proba(np.array([[lo], [hi]])).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_a_dtree_shap_run_with_one_ulp_splits_raises_no_runtime_warning():
+    cfg = ExperimentConfig(
+        synthetic=SyntheticSpec(rows=200, features=4, classes=2), epsilon_grid=(1.0, math.inf),
+        trials=1, query_count=6, background_size=4, lime_num_samples=300, master_seed=77,
+        explainer="shap", shap_budget=32, architecture="dtree",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_experiment(cfg)
+    assert all(row.status == "ok" for row in report.rows)
 
 
 @pytest.mark.parametrize("k", range(2, 17))

@@ -136,6 +136,11 @@ def test_every_public_name_resolves():
     assert "Responses" in ppverify.__all__
     assert not hasattr(ppverify, "ResponseVector")
     assert not hasattr(ppverify.verify, "ResponseVector")
+    assert {"standardize", "laplace_scale"} <= set(ppverify.__all__)
+    for gone in ("fit_scaler", "apply_scaler", "ScalerState", "LaplaceParams"):
+        assert not hasattr(ppverify, gone)
+    assert not hasattr(ppverify.preprocess, "ScalerState")
+    assert not hasattr(ppverify.ldp, "LaplaceParams")
 
 
 def test_build_responses_lime_needs_background():

@@ -72,7 +72,10 @@ def best_split(X, y_idx, node_idx, candidates, k, min_leaf):
         gini = np.where(valid, gini, np.inf)
         i = int(np.argmin(gini))
         if best is None or gini[i] < best[0] - 1e-15:
-            thr = 0.5 * (sv[boundary[i]] + sv[boundary[i] + 1])
+            below, above = sv[boundary[i]], sv[boundary[i] + 1]
+            thr = 0.5 * (below + above)
+            if not thr < above:  # one ulp apart: the midpoint rounded onto `above`
+                thr = below
             best = (float(gini[i]), int(f), float(thr))
     return best
 
