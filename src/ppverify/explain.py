@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .models import Predictor
+from .models import DecisionTreeModel, Predictor, RandomForestModel
 
 #: Sentinel for ShapConfig.coalition_budget requesting full enumeration.
 EXACT = "exact"
@@ -245,7 +245,9 @@ def _masks_from_ints(ints: np.ndarray, M: int) -> np.ndarray:
 
 def _coalition_values(m, x, masks, bg, cls) -> np.ndarray:
     """Mean model output with absent features replaced by background rows,
-    one value per coalition mask."""
+    one value per coalition mask; tree models compute it from their trees."""
+    if isinstance(m, (DecisionTreeModel, RandomForestModel)):
+        return m.coalition_values(x, masks, bg, cls)
     C = masks.shape[0]
     B = bg.shape[0]
     values = np.empty(C)
@@ -269,12 +271,12 @@ def _sample_coalitions(M, budget, rng):
     mass = (M - 1) / (sizes * (M - sizes))  # kernel mass aggregated per size
     p = mass / mass.sum()
     drawn = rng.choice(sizes, size=budget, p=p)
-    ints = np.empty(budget, dtype=np.int64)
+    masks = np.zeros((budget, M), dtype=bool)
     for i, s in enumerate(drawn):
-        members = rng.choice(M, size=int(s), replace=False)
-        ints[i] = sum(1 << j for j in members.tolist())
-    uniq, counts = np.unique(ints, return_counts=True)
-    return _masks_from_ints(uniq, M), counts.astype(float)
+        masks[i, rng.choice(M, size=int(s), replace=False)] = True
+    masks = masks[np.lexsort(masks.T)]  # in the order of the integers whose bit j is feature j
+    first = np.r_[True, (masks[1:] != masks[:-1]).any(axis=1)]
+    return masks[first], np.diff(np.r_[np.flatnonzero(first), budget]).astype(float)
 
 
 def shap_explain(m, x, cfg: ShapConfig, background) -> Explanation:

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -400,23 +401,28 @@ def _concat(parts: list) -> _Trees:
     )
 
 
+def _descend(trees: _Trees, node, row, cells) -> np.ndarray:
+    """The leaves reached from `node`, where the row each entry descends has
+    its feature f at `cells[row + f]`."""
+    feature = np.maximum(trees.feature, 0)  # leaves read column 0 and stay put
+    child = np.stack([trees.left, trees.right], axis=1).ravel()
+    for _ in range(trees.depth):
+        go_right = ~(cells[row + feature[node]] <= trees.threshold[node])
+        node = child[2 * node + go_right]
+    return node
+
+
 def _trees_proba(trees: _Trees, X, k: int) -> np.ndarray:
     """Mean leaf distribution over the trees, summed tree by tree."""
     X = np.asarray(X, dtype=float)
     T = trees.start.size - 1
     out = np.empty((X.shape[0], k))
-    feature = np.maximum(trees.feature, 0)  # leaves read column 0 and stay put
-    child = np.stack([trees.left, trees.right], axis=1).ravel()
     step = max(1, _PREDICT_CELLS // T)
     for a in range(0, X.shape[0], step):
         chunk = np.ascontiguousarray(X[a : a + step])
         r, d = chunk.shape
-        cells = chunk.ravel()
-        row = np.arange(r) * d
         node = np.repeat(trees.start[:-1, None], r, axis=1)  # (trees, rows)
-        for _ in range(trees.depth):
-            go_right = ~(cells[row + feature[node]] <= trees.threshold[node])
-            node = child[2 * node + go_right]
+        node = _descend(trees, node, np.arange(r) * d, chunk.ravel())
         acc = np.zeros((r, k))
         for t in range(T):
             acc += trees.dist[node[t]]
@@ -448,6 +454,53 @@ class _TreeModel(Predictor):
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _trees_proba(self.trees, X, self.n_classes)
+
+    @cached_property
+    def _splits(self) -> tuple:
+        """Per tree, the weight 2**j of the j-th feature it splits on (0 at
+        the others; j capped at 60), and how many features it splits on; and
+        the most features any tree splits on."""
+        trees, T = self.trees, self.trees.start.size - 1
+        tree, inner = np.repeat(np.arange(T), np.diff(trees.start)), trees.feature >= 0
+        tested = np.zeros((T, len(self.feature_names)), dtype=bool)
+        tested[tree[inner], trees.feature[inner]] = True
+        rank = np.minimum(np.cumsum(tested, axis=1) - tested, 60)
+        n = tested.sum(axis=1)
+        return np.where(tested, 2.0**rank, 0.0), n, int(n.max())
+
+    def coalition_values(self, x, masks, bg, cls: int) -> np.ndarray:
+        """Per coalition mask, the class `cls` probability of the rows
+        `where(mask, x, bg[b])` averaged over b, equal bit for bit to
+        `predict_proba`. A tree reads only the features it splits on, so when
+        every tree splits on n features with 2**n at most the coalition
+        count, each descends only its 2**n masks on them, and every
+        coalition takes the leaves of its own; else every row is predicted."""
+        trees, B, C, F = self.trees, bg.shape[0], masks.shape[0], len(self.feature_names)
+        x, bg, masks, dist = x[:F], bg[:, :F], masks[:, :F], trees.dist[:, cls]
+        (weight, n, most), T = self._splits, trees.start.size - 1
+        values = np.empty(C)
+        step = max(1, _PREDICT_CELLS // (T * B))  # trees x coalition rows
+        for a in range(0, C, step):
+            chunk = masks[a : a + step]
+            s = chunk.shape[0]
+            if most >= s.bit_length():  # a tree has more masks than there are coalitions
+                X = np.where(np.repeat(chunk, B, axis=0), x, np.tile(bg, (s, 1)))
+                p = _trees_proba(trees, X, self.n_classes)[:, cls]
+                values[a : a + s] = p.reshape(s, B).mean(axis=1)
+                continue
+            size = np.left_shift(1, n)  # mask i of a tree holds the bits of i
+            off = np.cumsum(size) - size
+            u = np.repeat(np.arange(T), size)  # the tree of each mask
+            E = ((np.arange(u.size) - off[u])[:, None] & weight[u].astype(np.intp)) > 0
+            cells = np.where(np.repeat(E, B, axis=0).reshape(-1, B, F), x, bg).ravel()
+            leaf = _descend(trees, np.repeat(trees.start[u], B), np.arange(u.size * B) * F, cells)
+            own = (chunk @ weight.T).T.astype(np.intp)  # sums of 2**j: exact in floats
+            P = np.take(dist[leaf].reshape(-1, B), off[:, None] + own, axis=0)
+            acc = np.zeros((s, B))
+            for t in range(T):  # in tree order, as predict_proba adds
+                acc += P[t]
+            values[a : a + s] = (acc / T).mean(axis=1)
+        return values
 
 
 class DecisionTreeModel(_TreeModel):

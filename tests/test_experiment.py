@@ -331,6 +331,26 @@ def test_cli_experiment_runs_and_is_reproducible(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_experiment_explains_64_features_with_sampled_shap(tmp_path, capsys):
+    # a sampled coalition of 64 features does not fit an int64 bit mask
+    cfg = {
+        "source": "synthetic",
+        "synthetic": {"rows": 120, "features": 64},
+        "architecture": "logreg",
+        "explainer": "shap",
+        "shap_budget": 80,
+        "epsilon_grid": ["inf"],
+        "trials": 1,
+        "query_count": 2,
+        "background_size": 3,
+        "attack": False,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")) == 0
+    capsys.readouterr()
+
+
 def test_cli_experiment_rejects_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"nope": 1}))

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import ConstantModel, LinearProbModel, build_dataset
+from ppverify import explain
 from ppverify.errors import ConfigError, DataError
 from ppverify.explain import (
     EXACT,
@@ -211,3 +212,31 @@ def test_shap_additivity_on_random_models(arch, n, d, k, extra_budget, seed):
     f0 = m.predict_proba(bg)[:, e.explained_class].mean()
     assert e.explained_class == m.predict(x)
     assert abs(e.attributions.sum() - (fx - f0)) <= 1e-9
+
+
+@pytest.mark.parametrize("M", [64, 100])
+@pytest.mark.parametrize("arch", ["logreg", "rforest"])
+def test_sampled_shap_explains_64_or_more_features(M, arch):
+    # a coalition of 64 or more features does not fit an int64 bit mask
+    rng = np.random.default_rng(M)
+    X = rng.normal(size=(120, M))
+    y = (X[:, 0] + X[:, 1] > 0).astype(int)
+    m = train(build_dataset(np.column_stack([X, y])),
+              TrainConfig(architecture=arch, seed=1, iterations=50, n_trees=10))
+    bg, x = X[:5], X[50]
+    e = shap_explain(m, x, ShapConfig(coalition_budget=M + 20, seed=2), bg)
+    fx = m.predict_proba(x[None, :])[0, e.explained_class]
+    f0 = m.predict_proba(bg)[:, e.explained_class].mean()
+    assert abs(e.attributions.sum() - (fx - f0)) <= 1e-9
+    masks, counts = explain._draw(explain._draw_key(ShapConfig(M + 20, seed=2), M))
+    sizes = masks.sum(axis=1)
+    assert counts.sum() == M + 20 and sizes.min() >= 1 and sizes.max() <= M - 1
+    assert np.unique(masks, axis=0).shape == masks.shape  # each coalition once
+
+
+def test_sampled_coalitions_come_in_the_order_of_their_bit_integers():
+    # the order of the rows enters the least-squares solve, so it is pinned
+    for M in (12, 40, 63):
+        masks, _ = explain._draw(explain._draw_key(ShapConfig(M + 200, seed=M), M))
+        ints = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in masks]
+        assert ints == sorted(set(ints))
