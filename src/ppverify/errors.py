@@ -25,12 +25,17 @@ class DataError(PPVerifyError):
 
 
 def read_json(path: str, error_cls=DataError):
-    """The JSON value stored in `path`; `error_cls` when it does not parse."""
+    """The JSON value stored in `path`; `error_cls` when it does not parse,
+    or holds NaN, Infinity or -Infinity, which Python's json reads and JSON lacks."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            return json.load(fh, parse_constant=_no_constant)
+        except ValueError as exc:  # JSONDecodeError, NaN or ±Infinity, or bytes that are not UTF-8
             raise error_cls(f"{path}: not valid JSON ({exc})") from None
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def json_field(mapping, key: str, where: str):

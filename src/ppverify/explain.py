@@ -245,11 +245,12 @@ def _masks_from_ints(ints: np.ndarray, M: int) -> np.ndarray:
 
 def _coalition_values(m, x, masks, bg, cls) -> np.ndarray:
     """Mean model output with absent features replaced by background rows,
-    one value per coalition mask; tree models compute it from their trees."""
-    if isinstance(m, (DecisionTreeModel, RandomForestModel)):
-        return m.coalition_values(x, masks, bg, cls)
-    C = masks.shape[0]
-    B = bg.shape[0]
+    one value per coalition mask; tree models compute it from their trees
+    where they can (`_TreeModel.coalition_values`), else it predicts the rows."""
+    tree = isinstance(m, (DecisionTreeModel, RandomForestModel))
+    if tree and (values := m.coalition_values(x, masks, bg, cls)) is not None:
+        return values
+    C, B = masks.shape[0], bg.shape[0]
     values = np.empty(C)
     step = max(1, _PREDICT_CHUNK // B)
     for start in range(0, C, step):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .seeding import derive_seed
 from .tabular import (
     KIND_CONTINUOUS,
@@ -124,6 +124,8 @@ def privatize(
         scale = laplace_scale(stats, budget)
         if scale == 0.0:
             continue
+        if not math.isfinite(scale):
+            raise DataError(f"cannot noise column {col.name!r}: its Laplace scale is {scale}")
         column = out[:, j]
         observed = ~np.isnan(column)
         rng = np.random.default_rng(derive_seed(seed, "ldp-column", j))

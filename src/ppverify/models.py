@@ -220,8 +220,10 @@ def _fit_logregs(problems, cfg: TrainConfig) -> list:
 # ---------------------------------------------------------------------------
 # CART trees and random forests: one flat-array engine
 
-#: Most rows x trees that one descent of `predict_proba` holds at once; like
-#: explain._PREDICT_CHUNK, it bounds memory on large explanation batches.
+#: Most entries that one tree descent holds: rows x trees in `predict_proba`,
+#: masks x background rows in `coalition_values` (at least one row or mask).
+#: `coalition_values` also groups trees so that a group's masks x background
+#: rows stay within it, or within coalitions x background rows for one tree.
 _PREDICT_CELLS = 1 << 16
 #: Most bootstrap rows that one level-synchronous growth holds at once; a
 #: forest whose trees x rows exceeds it grows in batches of trees.
@@ -412,24 +414,6 @@ def _descend(trees: _Trees, node, row, cells) -> np.ndarray:
     return node
 
 
-def _trees_proba(trees: _Trees, X, k: int) -> np.ndarray:
-    """Mean leaf distribution over the trees, summed tree by tree."""
-    X = np.asarray(X, dtype=float)
-    T = trees.start.size - 1
-    out = np.empty((X.shape[0], k))
-    step = max(1, _PREDICT_CELLS // T)
-    for a in range(0, X.shape[0], step):
-        chunk = np.ascontiguousarray(X[a : a + step])
-        r, d = chunk.shape
-        node = np.repeat(trees.start[:-1, None], r, axis=1)  # (trees, rows)
-        node = _descend(trees, node, np.arange(r) * d, chunk.ravel())
-        acc = np.zeros((r, k))
-        for t in range(T):
-            acc += trees.dist[node[t]]
-        out[a : a + step] = acc / T
-    return out
-
-
 def _tree_payloads(trees: _Trees) -> list:
     """One version-1 entry per tree: breadth-first nodes, leaf children -1."""
     out = []
@@ -453,7 +437,20 @@ class _TreeModel(Predictor):
         self.trees = trees
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _trees_proba(self.trees, X, self.n_classes)
+        """Mean leaf distribution over the trees, summed tree by tree."""
+        trees, X, T = self.trees, np.asarray(X, dtype=float), self.trees.start.size - 1
+        out = np.empty((X.shape[0], self.n_classes))
+        step = max(1, _PREDICT_CELLS // T)
+        for a in range(0, X.shape[0], step):
+            chunk = np.ascontiguousarray(X[a : a + step])
+            r, d = chunk.shape
+            node = np.repeat(trees.start[:-1, None], r, axis=1)  # (trees, rows)
+            node = _descend(trees, node, np.arange(r) * d, chunk.ravel())
+            acc = np.zeros((r, self.n_classes))
+            for t in range(T):
+                acc += trees.dist[node[t]]
+            out[a : a + step] = acc / T
+        return out
 
     @cached_property
     def _splits(self) -> tuple:
@@ -468,39 +465,35 @@ class _TreeModel(Predictor):
         n = tested.sum(axis=1)
         return np.where(tested, 2.0**rank, 0.0), n, int(n.max())
 
-    def coalition_values(self, x, masks, bg, cls: int) -> np.ndarray:
+    def coalition_values(self, x, masks, bg, cls: int) -> np.ndarray | None:
         """Per coalition mask, the class `cls` probability of the rows
         `where(mask, x, bg[b])` averaged over b, equal bit for bit to
-        `predict_proba`. A tree reads only the features it splits on, so when
-        every tree splits on n features with 2**n at most the coalition
-        count, each descends only its 2**n masks on them, and every
-        coalition takes the leaves of its own; else every row is predicted."""
+        `predict_proba`; None when a tree splits on n features with 2**n above
+        the coalition count, whose rows are then fewer than its masks. A tree
+        reads only the features it splits on, so each tree's 2**n masks on
+        them descend once, and every coalition takes the leaves of its own."""
         trees, B, C, F = self.trees, bg.shape[0], masks.shape[0], len(self.feature_names)
-        x, bg, masks, dist = x[:F], bg[:, :F], masks[:, :F], trees.dist[:, cls]
         (weight, n, most), T = self._splits, trees.start.size - 1
-        values = np.empty(C)
-        step = max(1, _PREDICT_CELLS // (T * B))  # trees x coalition rows
-        for a in range(0, C, step):
-            chunk = masks[a : a + step]
-            s = chunk.shape[0]
-            if most >= s.bit_length():  # a tree has more masks than there are coalitions
-                X = np.where(np.repeat(chunk, B, axis=0), x, np.tile(bg, (s, 1)))
-                p = _trees_proba(trees, X, self.n_classes)[:, cls]
-                values[a : a + s] = p.reshape(s, B).mean(axis=1)
-                continue
-            size = np.left_shift(1, n)  # mask i of a tree holds the bits of i
-            off = np.cumsum(size) - size
-            u = np.repeat(np.arange(T), size)  # the tree of each mask
-            E = ((np.arange(u.size) - off[u])[:, None] & weight[u].astype(np.intp)) > 0
-            cells = np.where(np.repeat(E, B, axis=0).reshape(-1, B, F), x, bg).ravel()
-            leaf = _descend(trees, np.repeat(trees.start[u], B), np.arange(u.size * B) * F, cells)
-            own = (chunk @ weight.T).T.astype(np.intp)  # sums of 2**j: exact in floats
-            P = np.take(dist[leaf].reshape(-1, B), off[:, None] + own, axis=0)
-            acc = np.zeros((s, B))
-            for t in range(T):  # in tree order, as predict_proba adds
-                acc += P[t]
-            values[a : a + s] = (acc / T).mean(axis=1)
-        return values
+        if most >= C.bit_length():
+            return None
+        x, bg, masks, dist = x[:F], bg[:, :F], masks[:, :F], trees.dist[:, cls]
+        size = np.left_shift(1, n)  # mask i of a tree holds the bits of i
+        off, bits = np.cumsum(size) - size, weight.astype(np.intp)
+        acc = np.zeros((C, B))
+        per, step = max(1, _PREDICT_CELLS // (C * B)), max(1, _PREDICT_CELLS // B)
+        for a in range(0, T, per):  # a group of trees, whose masks descend in slices
+            u = np.repeat(np.arange(a, min(a + per, T)), size[a : a + per])  # each mask's tree
+            P = np.empty((u.size, B))
+            for s in range(0, u.size, step):
+                v = u[s : s + step]
+                E = ((np.arange(s, s + v.size) + off[a] - off[v])[:, None] & bits[v]) > 0
+                cells = np.where(np.repeat(E, B, axis=0).reshape(-1, B, F), x, bg).ravel()
+                leaf = _descend(trees, np.repeat(trees.start[v], B), np.arange(0, cells.size, F), cells)
+                P[s : s + v.size] = dist[leaf].reshape(-1, B)
+            own = (weight[a : a + per] @ masks.T).astype(np.intp)  # sums of 2**j: exact in floats
+            for shares in np.take(P, own + (off[a : a + per] - off[a])[:, None], axis=0):
+                acc += shares  # in tree order, as predict_proba adds
+        return (acc / T).mean(axis=1)
 
 
 class DecisionTreeModel(_TreeModel):
@@ -552,7 +545,7 @@ def training_arrays(train: Dataset, cfg: TrainConfig):
     """(X, class index per row, class values) of a valid training problem.
 
     Raises ConfigError for a bad `cfg` and DataError unless `train` is
-    encoded, complete, non-empty and holds at least two classes.
+    encoded, complete, finite, non-empty and holds at least two classes.
     """
     cfg.validate()
     if any(c.kind == KIND_CATEGORICAL for c in train.schema):
@@ -561,7 +554,9 @@ def training_arrays(train: Dataset, cfg: TrainConfig):
         raise DataError("training data still has missing cells; drop them first")
     if train.n_rows == 0:
         raise DataError("training set is empty")
-    X = np.array(train.feature_matrix(), copy=True)
+    X = train.feature_matrix()  # a new array: feature_matrix takes the columns by index
+    if np.isinf(X).any():
+        raise DataError("training data holds infinite feature cells")
     labels = train.labels()
     class_values = np.unique(labels)
     if class_values.size < 2:

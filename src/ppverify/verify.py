@@ -270,19 +270,13 @@ def fit_threshold_verifier(
         dists += d
         classes += [others.training_class(label)] * len(d)
     dists, classes = np.array(dists), np.array(classes)
-    tau = None
-    centroids = None
-    if others.task == "binary":
-        tau = float(dists.mean())
-    else:
-        centroids = {
-            int(c): float(dists[classes == c].mean()) for c in np.unique(classes)
-        }
+    binary = others.task == "binary"
+    centroids = {int(c): float(dists[classes == c].mean()) for c in np.unique(classes)}
     return ThresholdModel(
         task=others.task,
         granularity=granularity,
-        tau=tau,
-        centroids=centroids,
+        tau=float(dists.mean()) if binary else None,
+        centroids=None if binary else centroids,
         train_min=float(dists.min()),
         train_max=float(dists.max()),
         labels_by_class=_label_map(others),
@@ -486,6 +480,8 @@ def responses_from_csv(path: str, model_tag: str | None = None) -> Responses:
             out.append([float(v) for v in row])
         except ValueError:
             raise DataError(f"{path} line {q + 2}: non-numeric response cell") from None
+        if not np.isfinite(out[-1]).all():
+            raise DataError(f"{path} line {q + 2}: non-finite response cell")
         if len(row) != len(header):
             raise DataError(f"{path} line {q + 2}: wrong field count")
     return Responses(np.array(out), path if model_tag is None else model_tag, tuple(header))

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build_dataset
-from ppverify.errors import ConfigError
+from ppverify.errors import ConfigError, DataError
 from ppverify.ldp import (
     INFINITE,
     PrivacyBudget,
@@ -87,6 +87,13 @@ def test_privatize_infinite_budget_is_identity():
     assert np.array_equal(
         d.values, out.values, equal_nan=True
     )  # bit-for-bit, not merely approximately
+
+
+def test_privatize_refuses_an_infinite_range_unless_the_budget_is_infinite():
+    d = build_dataset([[1.25, 0.0], [np.inf, 1.0], [3.5, 0.0]])
+    assert np.array_equal(privatize(d, PrivacyBudget(INFINITE), seed=3).values, d.values)
+    with pytest.raises(DataError, match="Laplace scale is inf"):
+        privatize(d, PrivacyBudget(1.0), seed=3)
 
 
 def test_privatize_is_deterministic_per_seed():

@@ -1,6 +1,7 @@
 """Files read at the load boundary: verifier files written by version 1 of
-the format still load, and every malformed verifier, schema sidecar or JSON
-config ends in a config or data error with exit code 2 or 3."""
+the format still load, and every malformed verifier, schema sidecar, JSON
+config or response CSV, and every data cell that cannot be noised or
+trained on, ends in a config or data error with exit code 2 or 3."""
 
 import json
 
@@ -104,6 +105,14 @@ def drop_task_and_tau(e):
     e["payload"]["centroids"] = None
 
 
+def binary_threshold_with_tau(tau):
+    """The threshold GOLDEN as a binary verifier whose file holds `tau`."""
+    def change(e):
+        drop_task_and_tau(e)
+        e["payload"]["tau"] = tau
+    return edit("threshold", change)
+
+
 MALFORMED_VERIFIERS = [
     ("not-json", "{not json"),
     ("a-list", "[1, 2]"),
@@ -130,6 +139,11 @@ MALFORMED_VERIFIERS = [
      edit("threshold", lambda e: e["payload"]["labels"].update({"1": 7}))),
     ("threshold-improper-class-0",
      edit("threshold", lambda e: e["payload"]["labels"]["0"].update(is_proper=False))),
+    # Python's json writes and reads NaN and Infinity; JSON has no such values
+    ("threshold-tau-NaN", binary_threshold_with_tau(float("nan"))),
+    ("threshold-tau-Infinity", binary_threshold_with_tau(float("inf"))),
+    ("ml-bias--Infinity",
+     edit("ml", lambda e: e["payload"]["params"]["bias"].__setitem__(0, float("-inf")))),
 ]
 
 LABEL_ENTRY = {"name": "label", "kind": "numeric-discrete", "is_label": True}
@@ -159,6 +173,7 @@ CASES = (
         pytest.param("train", "[1]", 2, id="train-config-a-list"),
         pytest.param("train", json.dumps({"l2": "big"}), 2, id="train-config-l2-a-string"),
         pytest.param("train", json.dumps({"depth": 3}), 2, id="train-config-unknown-key"),
+        pytest.param("train", json.dumps({"l2": float("nan")}), 2, id="train-config-l2-NaN"),
         pytest.param("experiment", json.dumps({"trails": 2}), 2,
                      id="experiment-config-unknown-key"),
         pytest.param("experiment", json.dumps({"synthetic": {"row": 60}}), 2,
@@ -316,3 +331,60 @@ def test_cli_fit_verifier_rejects_a_responses_file_whose_columns_are_permuted(tm
     assert capsys.readouterr().err.strip() == (
         f"data error: model {target!r} has response columns b,a,intercept,yhat "
         f"where model {reference!r} has a,b,intercept,yhat")
+
+
+def non_finite_responses(tmp_path, cell):
+    """A response CSV for VECTORS' queries whose second row holds `cell`."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"a,intercept,yhat\n0.5,0.4,1.0\n{cell},{cell},{cell}\n"
+                    "0.6,0.5,1.0\n0.5,0.4,1.0\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("method, cell", [
+    ("ml", "nan"), ("threshold", "nan"), ("threshold", "inf"), ("threshold", "-inf"),
+])
+def test_cli_verify_rejects_a_target_with_a_non_finite_response(tmp_path, capsys, method, cell):
+    verifier, reference = tmp_path / "v.json", str(tmp_path / "r0.csv")
+    verifier.write_bytes(GOLDEN[method].encode())
+    responses_to_csv(responses(0).matrix, ("a",), reference)
+    target = non_finite_responses(tmp_path, cell)
+    capsys.readouterr()
+    argv = ["verify", "--verifier", str(verifier), "--target", target, "--reference", reference]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.strip() == (
+        f"data error: {target} line 3: non-finite response cell")
+
+
+@pytest.mark.parametrize("method", ["ml", "threshold"])
+def test_cli_fit_verifier_rejects_a_non_finite_response(tmp_path, capsys, method):
+    reference = str(tmp_path / "r0.csv")
+    responses_to_csv(responses(0).matrix, ("a",), reference)
+    bad = non_finite_responses(tmp_path, "inf")
+    capsys.readouterr()
+    argv = ["fit-verifier", "--method", method, "--responses", f"0={reference}",
+            "--responses", f"1={bad}", "--reference", reference,
+            "--output", str(tmp_path / "v.json")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.strip() == f"data error: {bad} line 3: non-finite response cell"
+
+
+@pytest.mark.parametrize("command, error", [
+    ("privatize", "cannot noise column 'f1': its Laplace scale is inf"),
+    ("train", "training data holds infinite feature cells"),
+], ids=["privatize", "train"])
+def test_cli_rejects_an_infinite_data_cell_it_would_noise_or_train_on(tmp_path, capsys, command,
+                                                                     error):
+    # load_csv keeps the cell. Noised at this seed, it used to turn every
+    # other f1 cell but one into inf; a tree used to train on it
+    data, out = tmp_path / "data.csv", str(tmp_path / "out")
+    data.write_text("f0,f1,label\n0.5,1.5,0\n1.5,inf,1\n2.5,2.25,0\n3.5,0.5,1\n",
+                    encoding="utf-8")
+    argv = {
+        "privatize": ["privatize", "--input", str(data), "--epsilon", "1", "--seed", "3",
+                      "--output", out],
+        "train": ["train", "--input", str(data), "--arch", "dtree", "--output", out],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err.strip() == f"data error: {error}"

@@ -1,6 +1,8 @@
 """Kernel SHAP coalition values of tree models: the tree path against
 `predict_proba` of the materialised coalition rows, and which models take it."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -55,15 +57,15 @@ def coalition_problems(draw):
 def test_tree_coalition_values_equal_predict_proba_of_the_rows(problem):
     model, x, masks, bg, cls = problem
     assert np.array_equal(
-        model.coalition_values(x, masks, bg, cls), materialised(model, x, masks, bg, cls)
+        explain._coalition_values(model, x, masks, bg, cls), materialised(model, x, masks, bg, cls)
     )
 
 
 @pytest.mark.parametrize("cells", [1, 240, 500])
 def test_coalition_values_past_the_chunk_bound_equal_predict_proba(monkeypatch, cells):
-    # 8 trees x 3 background rows: chunks of 1, 10 and 20 coalitions; with
-    # one, every tree that splits descends the coalition rows; with 10, the
-    # trees on 3 features descend their masks, those on 4 the rows; with 20, all masks
+    # 8 trees on 3 or 4 features, 150 coalitions x 3 background rows: past
+    # every bound, so each tree is a group of its own; at 1 cell its masks
+    # descend one at a time, else all 8 or 16 at once
     rng = np.random.default_rng(4)
     X = rng.normal(size=(150, 9))
     d = build_dataset(np.column_stack([X, (X[:, 0] + X[:, 3] > 0).astype(int) + (X[:, 5] > 1)]))
@@ -76,6 +78,28 @@ def test_coalition_values_past_the_chunk_bound_equal_predict_proba(monkeypatch, 
     monkeypatch.setattr(models, "_descend", lambda t, node, *a: sizes.append(node.size) or descend(t, node, *a))
     assert np.array_equal(model.coalition_values(x, masks, bg, 2), want)
     assert max(sizes) <= max(cells, 8)  # trees x rows in one descent, at least one row
+
+
+def test_each_tree_descends_its_masks_once_per_call(monkeypatch):
+    # a default 50-tree forest on 8 features, exact SHAP (254 coalitions) and
+    # 100 background rows: every tree splits on at most 3 features
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(200, 8))
+    model = train(build_dataset(np.column_stack([X, X[:, 1] + X[:, 6] > 0])),
+                  TrainConfig(architecture="rforest", seed=3))
+    bg, x = X[:100], X[150]
+    masks, _ = explain._draw(explain._draw_key(ShapConfig(EXACT), 8))
+    sizes, descend = [], models._descend
+    monkeypatch.setattr(models, "_descend", lambda t, node, *a: sizes.append(node.size) or descend(t, node, *a))
+    tracemalloc.start()
+    values = explain._coalition_values(model, x, masks, bg, 1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert sum(sizes) == np.sum(np.left_shift(1, model._splits[1])) * 100
+    # trees go in groups of 2, so no float array outgrows max(_PREDICT_CELLS, C x B) entries
+    assert peak < 4 * 8 * max(models._PREDICT_CELLS, masks.shape[0] * 100)
+    monkeypatch.undo()
+    assert np.array_equal(values, materialised(model, x, masks, bg, 1))
 
 
 def _recorded_rows(monkeypatch):
@@ -114,10 +138,13 @@ def test_kernel_shap_predicts_coalition_rows_only_off_the_tree_path(monkeypatch,
     cfg = ShapConfig(coalition_budget=budget, seed=3)  # 40 of 254 coalitions: sampled
     fitted = {arch: train(d, TrainConfig(architecture=arch, seed=1, iterations=40, n_trees=6))
               for arch in ("dtree", "rforest", "logreg")}
+    deep = train(build_dataset(np.column_stack([X, np.sin(3 * X).sum(axis=1) > 0])),
+                 TrainConfig(architecture="dtree", min_leaf=1))
+    assert 1 << deep._splits[2] > 254  # more masks on its features than any coalition count
     rows = _recorded_rows(monkeypatch)
     build_responses([fitted["dtree"], fitted["rforest"]], [queries] * 2, cfg, [bg] * 2)
     assert rows == [6, 6] + [1] * 8  # each model's background, then each query's own row
-    for model in (fitted["logreg"], Wrapped(fitted["rforest"])):
+    for model in (fitted["logreg"], Wrapped(fitted["rforest"]), deep):
         rows.clear()
         build_responses([model], [queries], cfg, [bg])
         assert len([r for r in rows if r > 6]) == 4, rows  # one call of coalition rows per query
