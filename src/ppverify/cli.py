@@ -135,10 +135,10 @@ def cmd_train(args) -> int:
         if not isinstance(overrides, dict):
             raise ConfigError("--config must hold a JSON object of hyperparameters")
         check_known_keys(overrides, TrainConfig, "hyperparameters")
-    cfg = TrainConfig(architecture=args.arch, seed=args.seed, **overrides)
+    cfg = TrainConfig(**{"architecture": args.arch, "seed": args.seed, **overrides})
     model = train(d, cfg)
     save_model(model, args.output)
-    print(f"trained {args.arch} on {d.n_rows} rows -> {args.output}")
+    print(f"trained {cfg.architecture} on {d.n_rows} rows -> {args.output}")
     return 0
 
 

@@ -9,6 +9,7 @@ them to distinct exit codes.
 
 import dataclasses
 import json
+import math
 import numbers
 
 
@@ -26,16 +27,24 @@ class DataError(PPVerifyError):
 
 def read_json(path: str, error_cls=DataError):
     """The JSON value stored in `path`; `error_cls` when it does not parse,
-    or holds NaN, Infinity or -Infinity, which Python's json reads and JSON lacks."""
+    or holds NaN, Infinity or -Infinity, which Python's json reads and JSON
+    lacks, or a number such as 1e400 that no float can hold."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_constant=_no_constant)
-        except ValueError as exc:  # JSONDecodeError, NaN or ±Infinity, or bytes that are not UTF-8
+            return json.load(fh, parse_constant=_no_constant, parse_float=_finite_float)
+        except ValueError as exc:  # JSONDecodeError, a non-finite number or non-UTF-8 bytes
             raise error_cls(f"{path}: not valid JSON ({exc})") from None
 
 
 def _no_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def json_field(mapping, key: str, where: str):

@@ -126,9 +126,9 @@ class ExperimentConfig:
         # LIME needs at least features + 2 samples, so never fewer than 3
         if self.lime_num_samples < 3:
             raise ConfigError("lime_num_samples must be >= 3")
-        if self.lime_ridge < 0:
+        if not self.lime_ridge >= 0:  # NaN fails
             raise ConfigError("lime_ridge must be >= 0")
-        if self.lime_kernel_width is not None and self.lime_kernel_width <= 0:
+        if self.lime_kernel_width is not None and not self.lime_kernel_width > 0:
             raise ConfigError("lime_kernel_width must be > 0")
 
     def to_dict(self) -> dict:

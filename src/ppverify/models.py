@@ -52,7 +52,7 @@ class TrainConfig:
         check_field_types(self)
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if self.learning_rate <= 0 or self.iterations < 1 or self.l2 < 0:
+        if not (self.learning_rate > 0 and self.iterations >= 1 and self.l2 >= 0):  # NaN fails
             raise ConfigError("logreg needs learning_rate > 0, iterations >= 1, l2 >= 0")
         if self.max_depth < 1 or self.min_leaf < 1 or self.n_trees < 1:
             raise ConfigError("tree models need max_depth, min_leaf, n_trees >= 1")

@@ -44,11 +44,12 @@ class Responses:
             raise DataError(f"model {self.tag!r} has no responses")
 
 
-def _check_columns(first: Responses, other: Responses) -> None:
-    """Raise DataError when both responses name their columns, differently."""
-    if first.columns and other.columns and first.columns != other.columns:
+def _check_columns(columns: tuple, owner: str, other: Responses) -> None:
+    """Raise DataError when `other` and `owner` both name their response
+    columns, differently. `owner` names whose `columns` they are."""
+    if columns and other.columns and columns != other.columns:
         raise DataError(f"model {other.tag!r} has response columns {','.join(other.columns)} "
-                        f"where model {first.tag!r} has {','.join(first.columns)}")
+                        f"where {owner} has {','.join(columns)}")
 
 
 @dataclass
@@ -63,9 +64,9 @@ class LabeledResponseSet:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if not self.items:
             raise DataError("labeled response set is empty")
-        labels: dict = {}
+        first, labels = self.items[0][1], {}
         for label, responses in self.items:
-            _check_columns(self.items[0][1], responses)
+            _check_columns(first.columns, f"model {first.tag!r}", responses)
             if labels.setdefault(responses.tag, label) != label:
                 raise DataError(f"model tag {responses.tag!r} carries conflicting labels")
 
@@ -88,9 +89,6 @@ class ThresholdModel:
     granularity: str
     tau: float | None
     centroids: dict | None  # class_id -> mean distance
-    train_min: float
-    train_max: float
-    labels_by_class: dict  # class_id -> PipelineLabel
 
 
 @dataclass(frozen=True)
@@ -186,15 +184,19 @@ def build_responses(models, query_sets, explainer_cfg, backgrounds) -> np.ndarra
 
 
 def fit_ml_verifier(data: LabeledResponseSet, cfg: TrainConfig | None = None) -> MLVerifier:
-    """Train a classifier over response vectors (default: random forest)."""
+    """Train a classifier over response vectors (default: random forest).
+    Its features are the response columns, named as the first model's
+    responses name them, or r0..rN when they are unnamed."""
     cfg = cfg or TrainConfig(architecture="rforest")
-    dim = data.items[0][1].matrix.shape[1]
+    first = data.items[0][1]
+    dim = first.matrix.shape[1]
     if any(r.matrix.shape[1] != dim for _, r in data.items):
         raise DataError("response vectors have inconsistent lengths")
     X = np.vstack([r.matrix for _, r in data.items])
     y = np.concatenate([[data.training_class(label)] * len(r.matrix) for label, r in data.items])
+    names = first.columns or [f"r{i}" for i in range(dim)]
     schema = tuple(
-        [ColumnSchema(f"r{i}", KIND_CONTINUOUS) for i in range(dim)]
+        [ColumnSchema(name, KIND_CONTINUOUS) for name in names]
         + [ColumnSchema("pipeline_class", KIND_DISCRETE, is_label=True)]
     )
     ds = Dataset(schema, np.column_stack([X, y]))
@@ -210,7 +212,7 @@ def _distances(reference: Responses, responses: Responses, granularity: str) -> 
     (per_query), or one between the whole matrices (concatenated). Every
     response set answers the reference's queries row for row, under the
     reference's column names when both name them."""
-    _check_columns(reference, responses)
+    _check_columns(reference.columns, f"model {reference.tag!r}", responses)
     if responses.matrix.shape != reference.matrix.shape:
         raise DataError(
             f"model {responses.tag!r} gives {responses.matrix.shape} responses where the "
@@ -231,17 +233,6 @@ def _distances(reference: Responses, responses: Responses, granularity: str) -> 
             raise DataError(f"model {zero.tag!r} responds to {queries} with a zero "
                             "vector; cosine distance is undefined for zero vectors") from None
     return dists
-
-
-def _label_map(data: LabeledResponseSet) -> dict:
-    labels = {}
-    for label, _ in data.items:
-        cls = data.training_class(label)
-        if data.task == "binary":
-            labels[cls] = bare_label(cls)
-        else:
-            labels.setdefault(cls, label)
-    return labels
 
 
 def bare_label(class_id: int) -> PipelineLabel:
@@ -277,9 +268,6 @@ def fit_threshold_verifier(
         granularity=granularity,
         tau=float(dists.mean()) if binary else None,
         centroids=None if binary else centroids,
-        train_min=float(dists.min()),
-        train_max=float(dists.max()),
-        labels_by_class=_label_map(others),
     )
 
 
@@ -313,17 +301,17 @@ def classify(
     An MLVerifier classifies each response vector directly. A ThresholdModel
     needs the fitted reference responses again and classifies by distance
     (see `_threshold_class`). `label_table`, a class_id -> PipelineLabel
-    dict, names the verdict's pipeline; without it a threshold verifier uses
-    the labels it was fitted on, and an ML verifier a bare label.
+    dict, names the verdict's pipeline; without it, the verdict carries a
+    bare label. A target that names its columns must name them as the
+    reference does, or as the ML verifier's features are named.
     """
-    labels_by_class = dict(label_table or {})
     if isinstance(verifier, ThresholdModel):
         if reference is None:
             raise ConfigError("the threshold verifier needs the reference responses")
         dists = _distances(reference, target, verifier.granularity)
         classes = [_threshold_class(verifier, d) for d in dists]
-        labels_by_class = labels_by_class or verifier.labels_by_class
     elif isinstance(verifier, MLVerifier):
+        _check_columns(verifier.model.feature_names, "the ml verifier", target)
         dim = len(verifier.model.feature_names)
         if target.matrix.shape[1] != dim:
             raise DataError(f"the ml verifier takes response vectors of {dim} entries")
@@ -338,7 +326,7 @@ def classify(
     winner = _vote(verifier.task, votes)
     return Verdict(
         task=verifier.task,
-        predicted_label=labels_by_class.get(winner) or bare_label(winner),
+        predicted_label=(label_table or {}).get(winner) or bare_label(winner),
         vote_counts=dict(sorted(votes.items())),
         confidence=votes.get(winner, 0) / len(classes),
     )
@@ -349,41 +337,14 @@ def classify(
 
 
 VERIFIER_FORMAT = "ppverify-verifier"
-VERIFIER_VERSION = 1
-
-
-def _threshold_payload(t: ThresholdModel) -> dict:
-    return {
-        "format": "ppverify-threshold",
-        "version": 1,
-        "task": t.task,
-        "granularity": t.granularity,
-        "tau": t.tau,
-        "centroids": {str(k): v for k, v in (t.centroids or {}).items()} or None,
-        "train_min": t.train_min,
-        "train_max": t.train_max,
-        "labels": {
-            str(c): {
-                "class_id": lab.class_id,
-                "is_proper": lab.is_proper,
-                "omitted_steps": list(lab.omitted_steps) if lab.omitted_steps is not None else None,
-            }
-            for c, lab in t.labels_by_class.items()
-        },
-    }
+VERIFIER_VERSION = 2
 
 
 def _threshold_from_payload(payload, task: str, path: str) -> ThresholdModel:
     where = f"{path}: threshold payload"
-    keys = ("format", "version", "task", "granularity", "tau", "centroids",
-            "train_min", "train_max", "labels")
-    fmt, version, t_task, granularity, tau, centroids, lo, hi, labels = (
-        json_field(payload, key, where) for key in keys
+    granularity, tau, centroids = (
+        json_field(payload, key, where) for key in ("granularity", "tau", "centroids")
     )
-    if (fmt, version) != ("ppverify-threshold", 1):
-        raise DataError(f"{where} is not a version-1 threshold payload")
-    if t_task != task:
-        raise DataError(f"{where} has task {t_task!r} but the file says {task!r}")
     if granularity not in GRANULARITIES:
         raise DataError(f"{where}: granularity must be one of {GRANULARITIES}")
     try:
@@ -392,18 +353,8 @@ def _threshold_from_payload(payload, task: str, path: str) -> ThresholdModel:
             granularity=granularity,
             tau=None if tau is None else float(tau),
             centroids={int(k): float(v) for k, v in centroids.items()} if centroids else None,
-            train_min=float(lo),
-            train_max=float(hi),
-            labels_by_class={
-                int(c): PipelineLabel(
-                    entry["class_id"],
-                    entry["is_proper"],
-                    tuple(entry["omitted_steps"]) if entry["omitted_steps"] is not None else None,
-                )
-                for c, entry in labels.items()
-            },
         )
-    except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise DataError(f"{where} holds a malformed entry ({exc!r})") from None
     needs = "tau" if task == "binary" else "centroids"
     if getattr(t, needs) is None:
@@ -412,11 +363,13 @@ def _threshold_from_payload(payload, task: str, path: str) -> ThresholdModel:
 
 
 def save_verifier(v, path: str) -> None:
-    """Write an MLVerifier or a ThresholdModel as a version-1 verifier file."""
+    """Write an MLVerifier or a ThresholdModel as a version-2 verifier file."""
     if isinstance(v, MLVerifier):
         method, payload = "ml", v.model.to_payload()
     elif isinstance(v, ThresholdModel):
-        method, payload = "threshold", _threshold_payload(v)
+        centroids = {str(k): c for k, c in (v.centroids or {}).items()} or None
+        method = "threshold"
+        payload = {"granularity": v.granularity, "tau": v.tau, "centroids": centroids}
     else:
         raise ConfigError(f"unsupported verifier type {type(v).__name__}")
     envelope = {
@@ -437,7 +390,9 @@ def load_verifier(path: str):
     if not isinstance(envelope, dict) or envelope.get("format") != VERIFIER_FORMAT:
         raise DataError(f"{path}: not a verifier file")
     if envelope.get("version") != VERIFIER_VERSION:
-        raise DataError(f"{path}: unsupported verifier version {envelope.get('version')!r}")
+        raise DataError(f"{path}: verifier file version {envelope.get('version')!r} is not "
+                        "read; refit it with `ppverify fit-verifier` to write version "
+                        f"{VERIFIER_VERSION}")
     method, task, payload = (json_field(envelope, k, path) for k in ("method", "task", "payload"))
     if task not in TASKS:
         raise DataError(f"{path}: task must be one of {TASKS}, got {task!r}")
@@ -474,6 +429,9 @@ def responses_from_csv(path: str, model_tag: str | None = None) -> Responses:
     header = rows[0]
     if len(header) < 3 or header[-1] != "yhat" or header[-2] != "intercept":
         raise DataError(f"{path}: expected trailing intercept,yhat columns")
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise DataError(f"{path}: the header repeats column {', '.join(repeated)}")
     out = []
     for q, row in enumerate(rows[1:]):
         try:

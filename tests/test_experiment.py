@@ -119,6 +119,12 @@ def test_config_validation_errors():
         ExperimentConfig(source="csv", synthetic=None).validate()
 
 
+@pytest.mark.parametrize("field", ["lime_ridge", "lime_kernel_width"])
+def test_config_rejects_nan(field):
+    with pytest.raises(ConfigError):
+        tiny_config(**{field: float("nan")}).validate()
+
+
 def test_structured_failure_keeps_sweeping(tmp_path):
     # constant features plus a zero ridge make the explainer reject every
     # model; the run must record the failure per cell and keep the attack arm

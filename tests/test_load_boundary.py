@@ -1,7 +1,8 @@
-"""Files read at the load boundary: verifier files written by version 1 of
-the format still load, and every malformed verifier, schema sidecar, JSON
-config or response CSV, and every data cell that cannot be noised or
-trained on, ends in a config or data error with exit code 2 or 3."""
+"""Files read at the load boundary: version-2 verifier files load and are
+rewritten byte for byte, version-1 files are refused, and every malformed
+verifier, model file, schema sidecar, JSON config or response CSV, and
+every data cell that cannot be noised or trained on, ends in a config or
+data error with exit code 2 or 3."""
 
 import json
 
@@ -23,18 +24,38 @@ from ppverify.verify import (
     save_verifier,
 )
 
-# Responses of three models (class 0 is proper) over four queries.
+# Responses of three models (class 0 is proper) over four queries, as the
+# CSVs that `responses_to_csv(..., ("a",), ...)` writes name their columns.
 VECTORS = {
     0: [[1.0, 0.0, 0.5], [0.9, 0.1, 0.5], [1.0, 0.2, 0.5], [0.8, 0.0, 0.5]],
     1: [[0.0, 1.0, 0.5], [0.1, 0.9, 0.5], [0.2, 1.0, 0.5], [0.0, 0.8, 0.5]],
     2: [[0.5, 0.5, 1.0], [0.4, 0.6, 1.0], [0.6, 0.5, 1.0], [0.5, 0.4, 1.0]],
 }
+COLUMNS = ("a", "intercept", "yhat")
 
-# `ppverify fit-verifier` output for VECTORS, byte for byte, recorded from
-# the version-1 writer that predates `save_verifier`:
+# `ppverify fit-verifier` output for VECTORS' CSVs, byte for byte:
 #   ml:        --method ml --task binary --arch logreg --seed 0, classes 0 and 1
 #   threshold: --method threshold --task multi, classes 0-2, reference class 0
 GOLDEN = {
+    "ml": (
+        '{"format": "ppverify-verifier", "version": 2, "method": "ml", "task": "binary", '
+        '"payload": {"format": "ppverify-model", "version": 1, "architecture": "logreg", '
+        '"feature_names": ["a", "intercept", "yhat"], "class_values": [0.0, 1.0], "params": '
+        '{"weights": [[2.736718747188496, -2.7367187471884975], '
+        "[-2.7367187471884975, 2.7367187471884966], "
+        "[8.666113286849356e-17, -1.1099033826946546e-16]], "
+        '"bias": [1.751637029867581e-16, -2.235191198796115e-16]}}}\n'
+    ),
+    "threshold": (
+        '{"format": "ppverify-verifier", "version": 2, "method": "threshold", "task": "multi", '
+        '"payload": {"granularity": "per_query", "tau": null, "centroids": {"0": 0.0, '
+        '"1": 0.6533389989311882, "2": 0.22805605407973545}}}\n'
+    ),
+}
+
+# The same fits as written by version 1 of the format, which named the ml
+# verifier's features r0..r2 whatever the CSVs named them.
+GOLDEN_V1 = {
     "ml": (
         '{"format": "ppverify-verifier", "version": 1, "method": "ml", "task": "binary", '
         '"payload": {"format": "ppverify-model", "version": 1, "architecture": "logreg", '
@@ -58,7 +79,7 @@ GOLDEN = {
 
 
 def responses(cls):
-    return Responses(np.array(VECTORS[cls]), f"m{cls}")
+    return Responses(np.array(VECTORS[cls]), f"m{cls}", COLUMNS)
 
 
 def labeled(classes, task):
@@ -78,8 +99,14 @@ def fit(method):
     return v, responses(2), responses(0), (2, {2: 4}, 1.0)
 
 
+def write_csvs(tmp_path):
+    """VECTORS as response CSVs r0.csv, r1.csv and r2.csv under `tmp_path`."""
+    for c in VECTORS:
+        responses_to_csv(responses(c).matrix, ("a",), str(tmp_path / f"r{c}.csv"))
+
+
 @pytest.mark.parametrize("method", ["ml", "threshold"])
-def test_version_1_verifier_file_loads_and_is_written_byte_for_byte(tmp_path, method):
+def test_version_2_verifier_file_loads_and_is_written_byte_for_byte(tmp_path, capsys, method):
     path = tmp_path / "golden.json"
     path.write_bytes(GOLDEN[method].encode())
     fitted, target, reference, expected = fit(method)
@@ -92,6 +119,37 @@ def test_version_1_verifier_file_loads_and_is_written_byte_for_byte(tmp_path, me
     again = tmp_path / "again.json"
     save_verifier(fitted, str(again))
     assert again.read_bytes() == GOLDEN[method].encode()
+    save_verifier(loaded, str(again))
+    assert again.read_bytes() == GOLDEN[method].encode()
+
+    # `ppverify verify` prints the verdict it printed for the version-1 file
+    write_csvs(tmp_path)
+    argv = ["verify", "--verifier", str(path), "--target", str(tmp_path / f"r{expected[0]}.csv")]
+    capsys.readouterr()
+    assert main(argv + (["--reference", str(tmp_path / "r0.csv")] if reference else [])) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "task": "binary" if method == "ml" else "multi",
+        "class_id": expected[0],
+        "is_proper": False,
+        "omitted_steps": None,
+        "votes": {str(k): n for k, n in expected[1].items()},
+        "confidence": 1.0,
+    }
+
+
+@pytest.mark.parametrize("method", ["ml", "threshold"])
+def test_version_1_verifier_file_is_refused(tmp_path, capsys, method):
+    # version 1 named no response columns, so its ml verifier could not check a target's
+    path = tmp_path / "v1.json"
+    path.write_bytes(GOLDEN_V1[method].encode())
+    write_csvs(tmp_path)
+    capsys.readouterr()
+    argv = ["verify", "--verifier", str(path), "--target", str(tmp_path / "r1.csv"),
+            "--reference", str(tmp_path / "r0.csv")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.strip() == (
+        f"data error: {path}: verifier file version 1 is not read; "
+        "refit it with `ppverify fit-verifier` to write version 2")
 
 
 def edit(method, change):
@@ -101,7 +159,7 @@ def edit(method, change):
 
 
 def drop_task_and_tau(e):
-    e["task"] = e["payload"]["task"] = "binary"
+    e["task"] = "binary"
     e["payload"]["centroids"] = None
 
 
@@ -117,7 +175,7 @@ MALFORMED_VERIFIERS = [
     ("not-json", "{not json"),
     ("a-list", "[1, 2]"),
     ("wrong-format", edit("ml", lambda e: e.update(format="ppverify-model"))),
-    ("wrong-version", edit("ml", lambda e: e.update(version=2))),
+    ("wrong-version", edit("ml", lambda e: e.update(version=3))),
     ("no-method", edit("threshold", lambda e: e.pop("method"))),
     ("bogus-method", edit("threshold", lambda e: e.update(method="bogus"))),
     ("no-task", edit("ml", lambda e: e.pop("task"))),
@@ -125,26 +183,25 @@ MALFORMED_VERIFIERS = [
     ("no-payload", edit("ml", lambda e: e.pop("payload"))),
     ("ml-bad-model", edit("ml", lambda e: e["payload"]["params"].pop("weights"))),
     ("ml-not-a-class-id", edit("ml", lambda e: e["payload"].update(class_values=[0.0, 2.5]))),
-    ("threshold-no-labels", edit("threshold", lambda e: e["payload"].pop("labels"))),
     ("threshold-no-tau", edit("threshold", lambda e: e["payload"].pop("tau"))),
-    ("threshold-task-differs", edit("threshold", lambda e: e.update(task="binary"))),
     ("threshold-binary-without-tau", edit("threshold", drop_task_and_tau)),
     ("threshold-bad-granularity",
      edit("threshold", lambda e: e["payload"].update(granularity="bogus"))),
     ("threshold-bad-centroid",
      edit("threshold", lambda e: e["payload"]["centroids"].update({"1": "far"}))),
-    ("threshold-label-lacks-key",
-     edit("threshold", lambda e: e["payload"]["labels"]["1"].pop("is_proper"))),
-    ("threshold-label-not-an-object",
-     edit("threshold", lambda e: e["payload"]["labels"].update({"1": 7}))),
-    ("threshold-improper-class-0",
-     edit("threshold", lambda e: e["payload"]["labels"]["0"].update(is_proper=False))),
     # Python's json writes and reads NaN and Infinity; JSON has no such values
     ("threshold-tau-NaN", binary_threshold_with_tau(float("nan"))),
     ("threshold-tau-Infinity", binary_threshold_with_tau(float("inf"))),
+    # and reads 1e400, which no float holds, as inf
+    ("threshold-tau-1e400", binary_threshold_with_tau(0.125).replace("0.125", "1e400")),
     ("ml-bias--Infinity",
      edit("ml", lambda e: e["payload"]["params"]["bias"].__setitem__(0, float("-inf")))),
 ]
+
+# A logreg model file over the feature f0
+MODEL = ('{"format": "ppverify-model", "version": 1, "architecture": "logreg", '
+         '"feature_names": ["f0"], "class_values": [0.0, 1.0], '
+         '"params": {"weights": [[0.25, -0.25]], "bias": [0.0, 0.0]}}')
 
 LABEL_ENTRY = {"name": "label", "kind": "numeric-discrete", "is_label": True}
 MALFORMED_SIDECARS = [
@@ -174,6 +231,9 @@ CASES = (
         pytest.param("train", json.dumps({"l2": "big"}), 2, id="train-config-l2-a-string"),
         pytest.param("train", json.dumps({"depth": 3}), 2, id="train-config-unknown-key"),
         pytest.param("train", json.dumps({"l2": float("nan")}), 2, id="train-config-l2-NaN"),
+        pytest.param("train", '{"learning_rate": 1e400}', 2,
+                     id="train-config-learning-rate-1e400"),
+        pytest.param("respond", MODEL.replace("0.25", "1e400"), 3, id="model-weight-1e400"),
         pytest.param("experiment", json.dumps({"trails": 2}), 2,
                      id="experiment-config-unknown-key"),
         pytest.param("experiment", json.dumps({"synthetic": {"row": 60}}), 2,
@@ -206,8 +266,7 @@ def test_malformed_file_is_a_config_or_data_error(tmp_path, capsys, command, tex
     bad.write_text(text, encoding="utf-8")
     data = tmp_path / "data.csv"
     data.write_text("f0,label\n0.5,0\n1.5,1\n2.5,0\n3.5,1\n", encoding="utf-8")
-    for c in VECTORS:
-        responses_to_csv(responses(c).matrix, ("a",), str(tmp_path / f"r{c}.csv"))
+    write_csvs(tmp_path)
     out = str(tmp_path / "out")
     argv = {
         "verify": ["verify", "--verifier", str(bad), "--target", str(tmp_path / "r1.csv"),
@@ -215,6 +274,8 @@ def test_malformed_file_is_a_config_or_data_error(tmp_path, capsys, command, tex
         "sidecar": ["privatize", "--input", str(data), "--epsilon", "1", "--schema", str(bad),
                     "--output", out],
         "train": ["train", "--input", str(data), "--config", str(bad), "--output", out],
+        "respond": ["respond", "--model", str(bad), "--queries", str(data), "--num-samples",
+                    "20", "--output", out],
         "experiment": ["experiment", "--config", str(bad), "--out-dir", out],
     }[command]
     capsys.readouterr()
@@ -317,6 +378,48 @@ def test_cli_verify_rejects_a_target_whose_columns_are_permuted(tmp_path, capsys
     assert capsys.readouterr().err.strip() == (
         "data error: model 'target' has response columns b,a,intercept,yhat "
         "where model 'reference' has a,b,intercept,yhat")
+
+
+def test_cli_ml_verify_rejects_a_target_whose_columns_are_permuted(tmp_path, capsys):
+    # the ml verifier used to name its features r0..r3 and vote on any header
+    reference, target = two_feature_csvs(tmp_path)
+    improper, verifier = str(tmp_path / "improper.csv"), str(tmp_path / "ml.json")
+    responses_to_csv(np.array([[0.1, 0.9, 0.2, 0.0], [0.0, 0.7, 0.1, 1.0]]), ("a", "b"), improper)
+    assert main(["fit-verifier", "--method", "ml", "--responses", f"0={reference}",
+                 "--responses", f"1={improper}", "--output", verifier]) == 0
+    assert main(["verify", "--verifier", verifier, "--target", reference]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--verifier", verifier, "--target", target]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "data error: model 'target' has response columns b,a,intercept,yhat "
+        "where the ml verifier has a,b,intercept,yhat")
+
+
+def test_cli_rejects_a_responses_file_that_repeats_a_column(tmp_path, capsys):
+    # a feature named intercept; the ml verifier used to train on such files
+    path, other = tmp_path / "r0.csv", tmp_path / "r1.csv"
+    path.write_text("intercept,intercept,yhat\n0.5,0.4,1.0\n0.2,0.3,0.0\n", encoding="utf-8")
+    other.write_text("intercept,intercept,yhat\n0.1,0.9,0.0\n0.3,0.8,1.0\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = ["fit-verifier", "--method", "ml", "--responses", f"0={path}",
+            "--responses", f"1={other}", "--output", str(tmp_path / "v.json")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.strip() == (
+        f"data error: {path}: the header repeats column intercept")
+
+
+def test_cli_train_takes_the_seed_from_a_config_file(tmp_path):
+    data, config = tmp_path / "data.csv", tmp_path / "config.json"
+    data.write_text("f0,f1,label\n" + "".join(
+        f"{i % 7 * 0.5},{i % 5 * 0.25},{i % 2}\n" for i in range(40)), encoding="utf-8")
+    config.write_text('{"seed": 3}', encoding="utf-8")
+    by_flag, by_config = tmp_path / "flag.json", tmp_path / "config_model.json"
+    argv = ["train", "--input", str(data), "--arch", "rforest"]
+    assert main(argv + ["--seed", "3", "--output", str(by_flag)]) == 0
+    assert main(argv + ["--config", str(config), "--output", str(by_config)]) == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
+    assert main(argv + ["--output", str(tmp_path / "seed0.json")]) == 0
+    assert (tmp_path / "seed0.json").read_bytes() != by_flag.read_bytes()
 
 
 @pytest.mark.parametrize("method", ["ml", "threshold"])

@@ -192,6 +192,12 @@ def test_train_config_validation():
         TrainConfig(architecture="rforest", seed=0, n_trees=0).validate()
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "l2"])
+def test_train_config_rejects_nan(field):
+    with pytest.raises(ConfigError):
+        TrainConfig(**{field: float("nan")}).validate()
+
+
 @pytest.mark.parametrize("arch", ["logreg", "dtree", "rforest"])
 def test_save_load_roundtrip(tmp_path, arch):
     d = separable_data(seed=8, rows=120)
