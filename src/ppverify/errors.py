@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import numbers
+import sys
 
 
 class PPVerifyError(Exception):
@@ -61,6 +62,7 @@ def check_known_keys(raw: dict, cls, what: str) -> None:
         raise ConfigError(f"unknown {what}: {sorted(unknown)}")
 
 
+_FLOAT_MAX = sys.float_info.max
 _SCALAR_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool,
                  "None": type(None)}
 
@@ -69,8 +71,8 @@ def check_field_types(obj) -> None:
     """ConfigError unless every field of the dataclass `obj` annotated with
     int, float, str, bool or a union of them holds such a value.
 
-    An int passes for a float; a bool passes only for a bool. Fields of any
-    other type are the caller's to check.
+    An int passes for a float if a float can hold it; a bool passes only
+    for a bool. Fields of any other type are the caller's to check.
     """
     for f in dataclasses.fields(obj):
         names = [t.strip() for t in str(getattr(f.type, "__name__", f.type)).split("|")]
@@ -82,3 +84,5 @@ def check_field_types(obj) -> None:
             for t in names
         ):
             raise ConfigError(f"{f.name} must be {' or '.join(names)}, got {value!r}")
+        if "int" not in names and isinstance(value, numbers.Integral) and abs(value) > _FLOAT_MAX:
+            raise ConfigError(f"{f.name} must be float, got an int no float can hold")

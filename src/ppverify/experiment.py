@@ -14,6 +14,7 @@ reproduces results.csv byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -201,12 +202,32 @@ def _explainer_cfg(cfg: ExperimentConfig, seed: int):
 
 
 def _load_source(cfg: ExperimentConfig) -> Dataset | None:
+    """The CSV source, or None for a synthetic one. An infinite cell is
+    refused here: every pipeline would train on it."""
     if cfg.source != "csv":
         return None
-    schema = "infer"
-    if cfg.schema_path:
-        schema = load_schema_sidecar(cfg.schema_path)
-    return load_csv(cfg.csv_path, schema=schema)
+    schema = load_schema_sidecar(cfg.schema_path) if cfg.schema_path else "infer"
+    source = load_csv(cfg.csv_path, schema=schema)
+    infinite = np.isinf(source.values).any(axis=0)
+    if infinite.any():
+        name = source.schema[int(np.argmax(infinite))].name
+        raise DataError(f"{cfg.csv_path}: column {name!r} holds an infinite cell")
+    return source
+
+
+def _attempt(fn, *args):
+    """`fn(*args)`, or the PPVerifyError it raised."""
+    try:
+        return fn(*args)
+    except PPVerifyError as exc:
+        return exc
+
+
+def _ok(value):
+    """`value`, unless `_attempt` stored an error in its place: that is raised."""
+    if isinstance(value, PPVerifyError):
+        raise value
+    return value
 
 
 def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, clock,
@@ -238,9 +259,8 @@ def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, clo
             failure = exc
             break
         applied.append((label, tr, te, train_cfg))
-    t = time.perf_counter()
-    fitted = train_many([a[1] for a in applied], [a[3] for a in applied])
-    clock(f"{stage}_train", t)
+    with clock(f"{stage}_train"):
+        fitted = train_many([a[1] for a in applied], [a[3] for a in applied])
     e_cfg = _explainer_cfg(cfg, derive_seed(cfg.master_seed, "explain", trial))
     matrix = build_responses(
         fitted, [a[2] for a in applied], e_cfg, [a[2].take(bg_idx) for a in applied]
@@ -271,6 +291,83 @@ def _attack_groups(cfg: ExperimentConfig, train_d: Dataset, test_d: Dataset, tri
     return case, control
 
 
+def _score_verifiers(cfg, released, target, queries, pipelines, bg_idx, trial, eps_index,
+                     clock) -> dict:
+    """Accuracy per method of the two verifiers fit on the zoo of models
+    trained on `released`, classifying each target model."""
+    labels = [label for _, label in pipelines]
+    with clock("verifier_models"):
+        zoo = _pipeline_responses(
+            cfg, released, queries, pipelines, bg_idx, "verifier", trial, clock, eps_index
+        )
+        labeled = LabeledResponseSet([(label, zoo[label.class_id]) for label in labels], cfg.task)
+    with clock("verify"):
+        seed = derive_seed(cfg.master_seed, "fit-ml", trial, eps_index)
+        v_ml = fit_ml_verifier(labeled, TrainConfig(cfg.verifier_architecture, seed=seed))
+        reference = zoo[0]
+        v_t = fit_threshold_verifier(reference, labeled, cfg.threshold_granularity)
+        label_table = {label.class_id: label for label in labels}
+        key = "is_proper" if cfg.task == "binary" else "class_id"
+        correct = dict.fromkeys(METHODS, 0)
+        for label in labels:
+            responses = target[label.class_id]
+            for method, verdict in (
+                ("ml", classify(v_ml, responses, label_table=label_table)),
+                ("threshold", classify(v_t, responses, reference, label_table=label_table)),
+            ):
+                correct[method] += getattr(verdict.predicted_label, key) == getattr(label, key)
+    return {m: correct[m] / len(labels) for m in METHODS}
+
+
+def _run_trial(cfg: ExperimentConfig, source, pipelines, trial: int, clock):
+    """One trial's result rows and attack rows. The target responses, the
+    attack groups and each release are stored as a value or as the error
+    they raised; a cell's status is the first error it depends on, the
+    release's before the target's or the groups'."""
+    with clock("data"):
+        if cfg.source == "synthetic":
+            source = make_synthetic(cfg.synthetic, derive_seed(cfg.master_seed, "data", trial))
+        train_d, test_d = split(
+            source, cfg.train_fraction, derive_seed(cfg.master_seed, "split", trial)
+        )
+        test_complete = drop_missing(test_d)
+        if test_complete.n_rows == 0:
+            raise DataError("test split has no complete rows to query")
+        qn = min(cfg.query_count, test_complete.n_rows)
+        queries = sample_rows(test_complete, qn, derive_seed(cfg.master_seed, "queries", trial))
+        bg_rng = np.random.default_rng(derive_seed(cfg.master_seed, "background", trial))
+        bg_idx = np.sort(bg_rng.permutation(qn)[:min(cfg.background_size, qn)])
+    with clock("target_models"):
+        target = _attempt(
+            _pipeline_responses, cfg, train_d, queries, pipelines, bg_idx, "target", trial, clock
+        )
+    if cfg.attack:
+        with clock("attack"):
+            groups = _attempt(_attack_groups, cfg, train_d, test_d, trial)
+
+    rows, attack_rows = [], []
+    for ei, eps in enumerate(cfg.epsilon_grid):
+        eps = float(eps)
+        with clock("release"):
+            ldp_seed = derive_seed(cfg.master_seed, "ldp", trial, ei)
+            released = _attempt(privatize, train_d, PrivacyBudget(eps), ldp_seed)
+        try:
+            accuracies = _score_verifiers(
+                cfg, _ok(released), _ok(target), queries, pipelines, bg_idx, trial, ei, clock
+            )
+            rows += [ResultRow(eps, trial, m, accuracies[m]) for m in METHODS]
+        except PPVerifyError as exc:
+            rows += [ResultRow(eps, trial, m, math.nan, f"error: {exc}") for m in METHODS]
+        if cfg.attack:
+            with clock("attack"):
+                try:
+                    result = mia_power(_ok(released), AttackConfig(*_ok(groups), cfg.attack_fpr))
+                    attack_rows.append(AttackRow(eps, trial, result.power, result.gamma))
+                except PPVerifyError as exc:
+                    attack_rows.append(AttackRow(eps, trial, math.nan, math.nan, f"error: {exc}"))
+    return rows, attack_rows
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the full protocol and return an in-memory report."""
     cfg.validate()
@@ -278,131 +375,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     stages: dict = {}
 
-    def clock(stage, t_from):
-        now = time.perf_counter()
-        stages[stage] = stages.get(stage, 0.0) + (now - t_from)
-        return now
+    @contextlib.contextmanager
+    def clock(stage):
+        """Add the time the block takes to `stages[stage]`."""
+        t = time.perf_counter()
+        try:
+            yield
+        finally:
+            stages[stage] = stages.get(stage, 0.0) + (time.perf_counter() - t)
 
     pipelines = enumerate_pipelines(cfg.enumeration_mode)
-    label_table = {label.class_id: label for _, label in pipelines}
     source = _load_source(cfg)
-
-    rows: list = []
-    attack_rows: list = []
-
-    for trial in range(cfg.trials):
-        t = time.perf_counter()
-        if cfg.source == "synthetic":
-            full = make_synthetic(cfg.synthetic, derive_seed(cfg.master_seed, "data", trial))
-        else:
-            full = source
-        train_d, test_d = split(full, cfg.train_fraction, derive_seed(cfg.master_seed, "split", trial))
-        test_complete = drop_missing(test_d)
-        if test_complete.n_rows == 0:
-            raise DataError("test split has no complete rows to query")
-        qn = min(cfg.query_count, test_complete.n_rows)
-        queries = sample_rows(test_complete, qn, derive_seed(cfg.master_seed, "queries", trial))
-        bg_n = min(cfg.background_size, qn)
-        bg_idx = np.sort(
-            np.random.default_rng(derive_seed(cfg.master_seed, "background", trial)).permutation(qn)[:bg_n]
-        )
-        t = clock("data", t)
-
-        target_responses = None
-        target_error = None
-        try:
-            target_responses = _pipeline_responses(
-                cfg, train_d, queries, pipelines, bg_idx, "target", trial, clock
-            )
-        except PPVerifyError as exc:
-            target_error = f"error: {exc}"
-        t = clock("target_models", t)
-
-        groups, groups_error = None, None
-        if cfg.attack:
-            try:
-                groups = _attack_groups(cfg, train_d, test_d, trial)
-            except PPVerifyError as exc:
-                groups_error = f"error: {exc}"
-            t = clock("attack", t)
-
-        for ei, eps in enumerate(cfg.epsilon_grid):
-            t = time.perf_counter()
-            budget = PrivacyBudget(float(eps))
-            released = None
-            release_error = None
-            try:
-                released = privatize(
-                    train_d, budget, derive_seed(cfg.master_seed, "ldp", trial, ei)
-                )
-            except PPVerifyError as exc:
-                release_error = f"error: {exc}"
-            t = clock("release", t)
-
-            status = release_error or target_error
-            accuracies = {}
-            if status is None:
-                try:
-                    verifier_responses = _pipeline_responses(
-                        cfg, released, queries, pipelines, bg_idx,
-                        "verifier", trial, clock, eps_index=ei,
-                    )
-                    labeled = LabeledResponseSet(
-                        [(label, verifier_responses[label.class_id]) for _, label in pipelines],
-                        cfg.task,
-                    )
-                    t = clock("verifier_models", t)
-                    v_ml = fit_ml_verifier(
-                        labeled,
-                        TrainConfig(
-                            architecture=cfg.verifier_architecture,
-                            seed=derive_seed(cfg.master_seed, "fit-ml", trial, ei),
-                        ),
-                    )
-                    reference = verifier_responses[0]
-                    v_t = fit_threshold_verifier(reference, labeled, cfg.threshold_granularity)
-
-                    correct = {"ml": 0, "threshold": 0}
-                    for _, label in pipelines:
-                        target = target_responses[label.class_id]
-                        verdict_ml = classify(v_ml, target, label_table=label_table)
-                        verdict_t = classify(
-                            v_t, target, reference=reference, label_table=label_table
-                        )
-                        for method, verdict in (("ml", verdict_ml), ("threshold", verdict_t)):
-                            if cfg.task == "binary":
-                                ok = verdict.predicted_label.is_proper == label.is_proper
-                            else:
-                                ok = verdict.predicted_label.class_id == label.class_id
-                            correct[method] += int(ok)
-                    accuracies = {m: correct[m] / len(pipelines) for m in METHODS}
-                    t = clock("verify", t)
-                except PPVerifyError as exc:
-                    status = f"error: {exc}"
-
-            for method in METHODS:
-                if status is None:
-                    rows.append(ResultRow(float(eps), trial, method, accuracies[method]))
-                else:
-                    rows.append(ResultRow(float(eps), trial, method, float("nan"), status))
-
-            if cfg.attack:
-                t = time.perf_counter()
-                error = release_error if released is None else groups_error
-                if error is None:
-                    try:
-                        result = mia_power(released, AttackConfig(*groups, cfg.attack_fpr))
-                        attack_rows.append(
-                            AttackRow(float(eps), trial, result.power, result.gamma)
-                        )
-                    except PPVerifyError as exc:
-                        error = f"error: {exc}"
-                if error is not None:
-                    attack_rows.append(
-                        AttackRow(float(eps), trial, float("nan"), float("nan"), error)
-                    )
-                t = clock("attack", t)
-
+    per_trial = [_run_trial(cfg, source, pipelines, trial, clock) for trial in range(cfg.trials)]
+    rows = [row for trial_rows, _ in per_trial for row in trial_rows]
+    attack_rows = [row for _, trial_rows in per_trial for row in trial_rows]
     runtime = {
         "started_at": started,
         "stages": {k: round(v, 3) for k, v in stages.items()},

@@ -408,14 +408,22 @@ def load_verifier(path: str):
     return MLVerifier(model, task)
 
 
+def _check_unique(header, path) -> None:
+    """DataError naming the columns that `header` repeats."""
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise DataError(f"{path}: the header repeats column {', '.join(repeated)}")
+
+
 def responses_to_csv(matrix, feature_names, path) -> None:
     """Write a response matrix as CSV: feature columns, then intercept, then yhat."""
-    dim = len(feature_names) + 2
-    if matrix.shape[1] != dim:
-        raise DataError(f"response vectors have {matrix.shape[1]} entries, expected {dim}")
+    header = list(feature_names) + ["intercept", "yhat"]
+    if matrix.shape[1] != len(header):
+        raise DataError(f"response vectors have {matrix.shape[1]} entries, expected {len(header)}")
+    _check_unique(header, path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(feature_names) + ["intercept", "yhat"])
+        writer.writerow(header)
         writer.writerows([repr(float(v)) for v in row] for row in matrix)
 
 
@@ -429,9 +437,7 @@ def responses_from_csv(path: str, model_tag: str | None = None) -> Responses:
     header = rows[0]
     if len(header) < 3 or header[-1] != "yhat" or header[-2] != "intercept":
         raise DataError(f"{path}: expected trailing intercept,yhat columns")
-    repeated = sorted({name for name in header if header.count(name) > 1})
-    if repeated:
-        raise DataError(f"{path}: the header repeats column {', '.join(repeated)}")
+    _check_unique(header, path)
     out = []
     for q, row in enumerate(rows[1:]):
         try:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ppverify import experiment
 from ppverify.cli import main
-from ppverify.errors import ConfigError
+from ppverify.errors import ConfigError, DataError
 from ppverify.experiment import (
     ExperimentConfig,
     emit_report,
@@ -145,6 +147,68 @@ def test_structured_failure_keeps_sweeping(tmp_path):
     lines = open(out["results"]).read().splitlines()
     assert len(lines) == 5
     assert lines[1].split(",")[3] == ""  # accuracy cell left empty on failure
+
+
+def test_a_release_or_attack_group_failure_marks_only_the_cells_that_use_it(tmp_path,
+                                                                           monkeypatch):
+    # a release that fails at epsilon 1 marks that epsilon's result rows
+    # and attack row, ahead of any target error; epsilon inf keeps the
+    # target's status and runs the attack
+    real_privatize = experiment.privatize
+
+    def privatize(d, budget, seed):
+        if budget.epsilon == 1.0:
+            raise DataError("no release at epsilon 1")
+        return real_privatize(d, budget, seed)
+
+    monkeypatch.setattr(experiment, "privatize", privatize)
+    flat = tmp_path / "flat.csv"  # the failing target stage of the test above
+    flat.write_text("a,b,label\n" + "".join(f"5,{i},{i % 2}\n" for i in range(40)))
+    failing_target = tiny_config(source="csv", csv_path=str(flat), synthetic=None,
+                                 lime_ridge=0.0, trials=1)
+    inf_statuses = []
+    for cfg in (tiny_config(trials=1), failing_target):
+        report = run_experiment(cfg)
+        assert [r.status for r in report.rows if r.epsilon == 1.0] == [
+            "error: no release at epsilon 1"] * 2
+        assert [a.status for a in report.attack_rows] == ["error: no release at epsilon 1", "ok"]
+        inf_statuses.append([r.status for r in report.rows if math.isinf(r.epsilon)])
+    assert inf_statuses[0] == ["ok", "ok"]
+    target_error = run_experiment(dataclasses.replace(failing_target, epsilon_grid=(math.inf,)))
+    assert inf_statuses[1] == [r.status for r in target_error.rows]
+    assert inf_statuses[1][0].startswith("error:") and "epsilon 1" not in inf_statuses[1][0]
+
+    # every test row copies a training row, so no control group can be drawn;
+    # the verification cells do not depend on it, and a failed release
+    # still comes first in an attack cell
+    cycle = [(0.0, 0.0, 0), (1.0, 2.0, 1), (2.0, 0.5, 0)]
+    csv = _write_csv(tmp_path / "cycle.csv", [cycle[i % 3] for i in range(60)])
+    no_control = "error: no non-member rows available for the control group"
+    report = run_experiment(tiny_config(source="csv", csv_path=csv, synthetic=None, trials=1))
+    assert [a.status for a in report.attack_rows] == ["error: no release at epsilon 1", no_control]
+    assert [r.status for r in report.rows if math.isinf(r.epsilon)] == ["ok", "ok"]
+    monkeypatch.undo()
+    report = run_experiment(tiny_config(source="csv", csv_path=csv, synthetic=None))
+    assert [a.status for a in report.attack_rows] == [no_control] * 4
+    assert [r.status for r in report.rows] == ["ok"] * 8
+
+
+def test_a_csv_source_with_an_infinite_cell_is_refused_before_any_trial(tmp_path, capsys):
+    # every pipeline would train on the cell, so no verification cell could
+    # succeed; the run used to warn and report missing cells instead
+    rows = [(i * 0.25, (i % 7) * 0.5, i % 2) for i in range(60)]
+    rows[10] = (2.5, math.inf, 0)
+    csv = _write_csv(tmp_path / "inf.csv", rows)
+    with pytest.raises(DataError) as exc:
+        run_experiment(tiny_config(source="csv", csv_path=csv, synthetic=None))
+    assert str(exc.value) == f"{csv}: column 'f1' holds an infinite cell"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"source": "csv", "csv_path": csv}))
+    out = tmp_path / "out"
+    assert run_cli("experiment", "--config", str(cfg_path), "--out-dir", str(out)) == 3
+    assert capsys.readouterr().err.strip() == (
+        f"data error: {csv}: column 'f1' holds an infinite cell")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

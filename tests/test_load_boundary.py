@@ -233,6 +233,8 @@ CASES = (
         pytest.param("train", json.dumps({"l2": float("nan")}), 2, id="train-config-l2-NaN"),
         pytest.param("train", '{"learning_rate": 1e400}', 2,
                      id="train-config-learning-rate-1e400"),
+        pytest.param("train", '{"learning_rate": 1%s}' % ("0" * 400), 2,
+                     id="train-config-learning-rate-an-int-no-float-holds"),
         pytest.param("respond", MODEL.replace("0.25", "1e400"), 3, id="model-weight-1e400"),
         pytest.param("experiment", json.dumps({"trails": 2}), 2,
                      id="experiment-config-unknown-key"),
@@ -245,6 +247,8 @@ CASES = (
                      id="experiment-config-synthetic-rows-a-string"),
         pytest.param("experiment", json.dumps({"epsilon_grid": 5}), 2,
                      id="experiment-config-epsilon-grid-not-a-list"),
+        pytest.param("experiment", '{"synthetic": {"separation": 1%s}}' % ("0" * 400), 2,
+                     id="experiment-synthetic-separation-an-int-no-float-holds"),
     ]
     + [
         pytest.param("experiment", json.dumps(config), 2, id=f"experiment-config-{name}")
@@ -406,6 +410,21 @@ def test_cli_rejects_a_responses_file_that_repeats_a_column(tmp_path, capsys):
     assert main(argv) == 3
     assert capsys.readouterr().err.strip() == (
         f"data error: {path}: the header repeats column intercept")
+
+
+def test_cli_respond_refuses_to_write_a_header_that_repeats_a_column(tmp_path, capsys):
+    # the response columns are the features, then intercept and yhat
+    data, model, out = tmp_path / "data.csv", tmp_path / "m.json", tmp_path / "r.csv"
+    data.write_text("intercept,label\n" + "".join(f"{i * 0.5},{i % 2}\n" for i in range(20)),
+                    encoding="utf-8")
+    assert main(["train", "--input", str(data), "--arch", "dtree", "--output", str(model)]) == 0
+    capsys.readouterr()
+    argv = ["respond", "--model", str(model), "--queries", str(data), "--num-samples", "20",
+            "--output", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.strip() == (
+        f"data error: {out}: the header repeats column intercept")
+    assert not out.exists()
 
 
 def test_cli_train_takes_the_seed_from_a_config_file(tmp_path):
