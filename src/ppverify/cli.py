@@ -13,12 +13,12 @@ import os
 import sys
 
 from .errors import ConfigError, DataError, PPVerifyError, check_known_keys, read_json
-from .experiment import ExperimentConfig, emit_report, run_experiment
+from .experiment import EXPLAINERS, METHODS, ExperimentConfig, emit_report, run_experiment
 from .explain import EXACT, LimeConfig, ShapConfig
 from .ldp import PrivacyBudget, privatize
 from .membership import AttackConfig, mia_power
-from .models import TrainConfig, load_model, save_model, train
-from .preprocess import Pipeline, apply_pipeline, enumerate_pipelines
+from .models import ARCHITECTURES, TrainConfig, load_model, save_model, train
+from .preprocess import ENUMERATION_MODES, Pipeline, apply_pipeline, enumerate_pipelines
 from .tabular import (
     SyntheticSpec,
     load_csv,
@@ -28,6 +28,8 @@ from .tabular import (
     write_schema_sidecar,
 )
 from .verify import (
+    GRANULARITIES,
+    TASKS,
     LabeledResponseSet,
     bare_label,
     build_responses,
@@ -41,32 +43,30 @@ from .verify import (
 )
 
 
+#: The `synth` flags, in order, and the SyntheticSpec field each one sets.
+_SYNTH_FLAGS = {"rows": "rows", "features": "features", "classes": "classes",
+                "separation": "separation", "imbalance": "imbalance",
+                "duplicates": "duplicate_fraction", "outliers": "outlier_fraction",
+                "missing": "missing_fraction"}
+
+
 def _load_dataset(path, schema_path=None):
     schema = load_schema_sidecar(schema_path) if schema_path else "infer"
     return load_csv(path, schema=schema)
 
 
 def _parse_budget_flag(text):
-    if text == "exact":
-        return EXACT
     try:
-        return int(text)
+        return EXACT if text == EXACT else int(text)
     except ValueError:
         raise ConfigError(f"--budget must be an integer or 'exact', got {text!r}") from None
 
 
 def _explainer_from_args(args):
     if args.explainer == "lime":
-        return LimeConfig(
-            num_samples=args.num_samples,
-            kernel_width=args.kernel_width,
-            ridge_strength=args.ridge,
-            seed=args.seed,
-        )
-    return ShapConfig(
-        coalition_budget=_parse_budget_flag(args.budget),
-        seed=args.seed,
-    )
+        return LimeConfig(num_samples=args.num_samples, kernel_width=args.kernel_width,
+                          ridge_strength=args.ridge, seed=args.seed)
+    return ShapConfig(coalition_budget=_parse_budget_flag(args.budget), seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -74,16 +74,7 @@ def _explainer_from_args(args):
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        rows=args.rows,
-        features=args.features,
-        classes=args.classes,
-        separation=args.separation,
-        imbalance=args.imbalance,
-        duplicate_fraction=args.duplicates,
-        outlier_fraction=args.outliers,
-        missing_fraction=args.missing,
-    )
+    spec = SyntheticSpec(**{field: getattr(args, flag) for flag, field in _SYNTH_FLAGS.items()})
     d = make_synthetic(spec, args.seed)
     write_csv(d, args.output)
     if args.schema_out:
@@ -251,14 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--rows", type=int, default=2000)
-    p.add_argument("--features", type=int, default=8)
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--separation", type=float, default=2.0)
-    p.add_argument("--imbalance", type=float, default=4.0)
-    p.add_argument("--duplicates", type=float, default=0.05)
-    p.add_argument("--outliers", type=float, default=0.02)
-    p.add_argument("--missing", type=float, default=0.02)
+    for flag, field in _SYNTH_FLAGS.items():
+        default = getattr(SyntheticSpec, field)
+        p.add_argument(f"--{flag}", type=type(default), default=default)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.add_argument("--schema-out")
@@ -276,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="apply one preprocessing pipeline")
     p.add_argument("--input", required=True)
     p.add_argument("--pipeline", type=int, required=True, help="bitmask over steps 1-4")
-    p.add_argument("--mode", choices=("paper-compat", "full"), default="paper-compat")
+    p.add_argument("--mode", choices=ENUMERATION_MODES, default="paper-compat")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.add_argument("--test")
@@ -286,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--input", required=True)
-    p.add_argument("--arch", choices=("logreg", "dtree", "rforest"), default="logreg")
+    p.add_argument("--arch", choices=ARCHITECTURES, default="logreg")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON file of hyperparameter overrides")
     p.add_argument("--output", required=True)
@@ -296,20 +282,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("respond", help="build response vectors")
     p.add_argument("--model", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--explainer", choices=("lime", "shap"), default="lime")
+    p.add_argument("--explainer", choices=EXPLAINERS, default="lime")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.add_argument("--background", help="background CSV (defaults to the query file)")
-    p.add_argument("--num-samples", type=int, default=2000)
-    p.add_argument("--kernel-width", type=float, default=None)
-    p.add_argument("--ridge", type=float, default=1e-3)
-    p.add_argument("--budget", default="2048", help="shap coalition budget or 'exact'")
+    p.add_argument("--num-samples", type=int, default=LimeConfig.num_samples)
+    p.add_argument("--kernel-width", type=float, default=LimeConfig.kernel_width)
+    p.add_argument("--ridge", type=float, default=LimeConfig.ridge_strength)
+    p.add_argument("--budget", default=ShapConfig.coalition_budget,
+                   help="shap coalition budget or 'exact'")
     p.add_argument("--schema")
     p.set_defaults(func=cmd_respond)
 
     p = sub.add_parser("fit-verifier", help="fit a verifier on labeled responses")
-    p.add_argument("--method", choices=("ml", "threshold"), required=True)
-    p.add_argument("--task", choices=("binary", "multi"), default="binary")
+    p.add_argument("--method", choices=METHODS, required=True)
+    p.add_argument("--task", choices=TASKS, default="binary")
     p.add_argument(
         "--responses",
         action="append",
@@ -318,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="labeled response CSV; repeat per model (class 0 = proper)",
     )
     p.add_argument("--reference", help="reference responses (threshold method)")
-    p.add_argument("--arch", choices=("logreg", "dtree", "rforest"), default="rforest")
-    p.add_argument("--granularity", choices=("per_query", "concatenated"), default="per_query")
+    p.add_argument("--arch", choices=ARCHITECTURES, default="rforest")
+    p.add_argument("--granularity", choices=GRANULARITIES, default="per_query")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_fit_verifier)

@@ -71,8 +71,9 @@ def check_field_types(obj) -> None:
     """ConfigError unless every field of the dataclass `obj` annotated with
     int, float, str, bool or a union of them holds such a value.
 
-    An int passes for a float if a float can hold it; a bool passes only
-    for a bool. Fields of any other type are the caller's to check.
+    A float field must hold a finite value (NaN, inf and an int no float
+    can hold fail); a bool passes only for a bool. Fields of any other
+    type are the caller's to check.
     """
     for f in dataclasses.fields(obj):
         names = [t.strip() for t in str(getattr(f.type, "__name__", f.type)).split("|")]
@@ -84,5 +85,6 @@ def check_field_types(obj) -> None:
             for t in names
         ):
             raise ConfigError(f"{f.name} must be {' or '.join(names)}, got {value!r}")
-        if "int" not in names and isinstance(value, numbers.Integral) and abs(value) > _FLOAT_MAX:
-            raise ConfigError(f"{f.name} must be float, got an int no float can hold")
+        if "float" in names and isinstance(value, numbers.Real) and not abs(value) <= _FLOAT_MAX:
+            shown = "an int no float can hold" if isinstance(value, numbers.Integral) else value
+            raise ConfigError(f"{f.name} must be a finite float, got {shown}")

@@ -18,7 +18,6 @@ import contextlib
 import dataclasses
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, PPVerifyError, check_field_types, check_known_keys
-from .explain import EXACT, LimeConfig, ShapConfig
+from .explain import LimeConfig, ShapConfig
 from .ldp import PrivacyBudget, privatize
 from .membership import AttackConfig, mia_power
 # `train` is not called here; perfbench/spans.py wraps `experiment.train`.
@@ -78,10 +77,10 @@ class ExperimentConfig:
     query_count: int = 500
     train_fraction: float = 0.8
     master_seed: int = 0
-    lime_num_samples: int = 2000
-    lime_kernel_width: float | None = None
-    lime_ridge: float = 1e-3
-    shap_budget: object = 2048
+    lime_num_samples: int = LimeConfig.num_samples
+    lime_kernel_width: float | None = LimeConfig.kernel_width
+    lime_ridge: float = LimeConfig.ridge_strength
+    shap_budget: object = ShapConfig.coalition_budget
     background_size: int = 100
     verifier_architecture: str = "rforest"
     threshold_granularity: str = "per_query"
@@ -119,18 +118,7 @@ class ExperimentConfig:
             raise ConfigError("attack_group_size must be >= 1")
         if not 0.0 < self.attack_fpr < 1.0:
             raise ConfigError("attack_fpr must lie in (0, 1)")
-        budget = self.shap_budget
-        if budget != EXACT and not (
-            isinstance(budget, numbers.Integral) and not isinstance(budget, bool) and budget > 0
-        ):
-            raise ConfigError(f'shap_budget must be a positive int or "exact", got {budget!r}')
-        # LIME needs at least features + 2 samples, so never fewer than 3
-        if self.lime_num_samples < 3:
-            raise ConfigError("lime_num_samples must be >= 3")
-        if not self.lime_ridge >= 0:  # NaN fails
-            raise ConfigError("lime_ridge must be >= 0")
-        if self.lime_kernel_width is not None and not self.lime_kernel_width > 0:
-            raise ConfigError("lime_kernel_width must be > 0")
+        _explainer_cfgs(self, 0)  # both check their settings, the unused one too
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -190,15 +178,13 @@ def _eps_text(eps: float) -> str:
     return "inf" if math.isinf(float(eps)) else repr(float(eps))
 
 
-def _explainer_cfg(cfg: ExperimentConfig, seed: int):
-    if cfg.explainer == "lime":
-        return LimeConfig(
-            num_samples=cfg.lime_num_samples,
-            kernel_width=cfg.lime_kernel_width,
-            ridge_strength=cfg.lime_ridge,
-            seed=seed,
-        )
-    return ShapConfig(coalition_budget=cfg.shap_budget, seed=seed)
+def _explainer_cfgs(cfg: ExperimentConfig, seed: int) -> dict:
+    """The LIME and SHAP settings of `cfg` under `seed`, by explainer name."""
+    return {
+        "lime": LimeConfig(num_samples=cfg.lime_num_samples, kernel_width=cfg.lime_kernel_width,
+                           ridge_strength=cfg.lime_ridge, seed=seed),
+        "shap": ShapConfig(coalition_budget=cfg.shap_budget, seed=seed),
+    }
 
 
 def _load_source(cfg: ExperimentConfig) -> Dataset | None:
@@ -261,7 +247,7 @@ def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, clo
         applied.append((label, tr, te, train_cfg))
     with clock(f"{stage}_train"):
         fitted = train_many([a[1] for a in applied], [a[3] for a in applied])
-    e_cfg = _explainer_cfg(cfg, derive_seed(cfg.master_seed, "explain", trial))
+    e_cfg = _explainer_cfgs(cfg, derive_seed(cfg.master_seed, "explain", trial))[cfg.explainer]
     matrix = build_responses(
         fitted, [a[2] for a in applied], e_cfg, [a[2].take(bg_idx) for a in applied]
     )

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_field_types
 from .models import DecisionTreeModel, Predictor, RandomForestModel
 
 #: Sentinel for ShapConfig.coalition_budget requesting full enumeration.
@@ -49,9 +49,10 @@ class Explanation:
 class LimeConfig:
     """Settings for the local linear surrogate.
 
-    `kernel_width` of None means 0.75 * sqrt(feature count). When any
-    background feature has zero spread the design matrix is rank-deficient,
-    so `ridge_strength` must stay positive.
+    `kernel_width` of None means 0.75 * sqrt(feature count). A query of M
+    features needs `num_samples` >= M + 2. When any background feature has
+    zero spread the design matrix is rank-deficient, so `ridge_strength`
+    must then be positive.
     """
 
     num_samples: int = 2000
@@ -60,19 +61,37 @@ class LimeConfig:
     seed: int = 0
     explained_class: int | None = None
 
+    def __post_init__(self):
+        check_field_types(self)
+        if self.num_samples < 3:  # a query has at least one feature
+            raise ConfigError(f"num_samples must be at least 3, got {self.num_samples}")
+        if self.ridge_strength < 0:
+            raise ConfigError(f"ridge_strength must be non-negative, got {self.ridge_strength}")
+        if self.kernel_width is not None and self.kernel_width <= 0:
+            raise ConfigError(f"kernel_width must be positive, got {self.kernel_width}")
+
 
 @dataclass(frozen=True)
 class ShapConfig:
     """Settings for Kernel SHAP.
 
     `coalition_budget` is either a sample count or EXACT; EXACT enumerates
-    every proper coalition and requires at most 16 features. Integer budgets
-    large enough to cover full enumeration enumerate instead of sampling.
+    every proper coalition and requires at most 16 features. An integer
+    budget must be at least M + 2 for a query of M features; one large
+    enough to cover full enumeration enumerates instead of sampling.
     """
 
     coalition_budget: object = 2048
     seed: int = 0
     explained_class: int | None = None
+
+    def __post_init__(self):
+        check_field_types(self)
+        budget = self.coalition_budget
+        if budget != EXACT and not (
+            isinstance(budget, (int, np.integer)) and not isinstance(budget, bool) and budget > 0
+        ):
+            raise ConfigError(f'coalition_budget must be a positive int or "exact", got {budget!r}')
 
 
 def _as_matrix(background, M: int) -> np.ndarray:
@@ -132,7 +151,7 @@ def _shared(probe: Probe, key, make):
 def _draw_key(cfg, M: int):
     """What one query's draws depend on: ("lime", seed, samples, M),
     ("shap", seed, budget, M) or ("exact", M). ConfigError for a budget
-    Kernel SHAP cannot use."""
+    too small for M features, or exact enumeration over too many."""
     if isinstance(cfg, LimeConfig):
         return ("lime", cfg.seed, cfg.num_samples, M)
     budget = cfg.coalition_budget
@@ -142,11 +161,9 @@ def _draw_key(cfg, M: int):
                 f"exact enumeration supports at most {EXACT_FEATURE_LIMIT} features, got {M}"
             )
         return ("exact", M)
-    if isinstance(budget, (int, np.integer)) and not isinstance(budget, bool):
-        if budget < M + 2:
-            raise ConfigError(f"coalition_budget must be at least {M + 2}, got {budget}")
-        return ("exact", M) if (1 << M) - 2 <= budget else ("shap", cfg.seed, int(budget), M)
-    raise ConfigError(f"coalition_budget must be a positive int or EXACT, got {budget!r}")
+    if budget < M + 2:
+        raise ConfigError(f"coalition_budget must be at least {M + 2}, got {budget}")
+    return ("exact", M) if (1 << M) - 2 <= budget else ("shap", cfg.seed, int(budget), M)
 
 
 def _draw(key) -> tuple:
@@ -189,15 +206,11 @@ def _lime_geometry(probe: Probe, x, cfg: LimeConfig) -> tuple:
     M, sigma = x.size, probe.sigma
     if cfg.num_samples < M + 2:
         raise ConfigError(f"num_samples must be at least {M + 2}, got {cfg.num_samples}")
-    if (sigma == 0).any() and cfg.ridge_strength <= 0:
+    if (sigma == 0).any() and cfg.ridge_strength == 0:
         raise ConfigError(
             "a background feature has zero spread; ridge_strength must be positive"
         )
-    if cfg.ridge_strength < 0:
-        raise ConfigError("ridge_strength must be non-negative")
     width = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * math.sqrt(M)
-    if width <= 0:
-        raise ConfigError("kernel_width must be positive")
 
     key = _draw_key(cfg, M)
     (N,) = _shared(probe, key, lambda: _draw(key))

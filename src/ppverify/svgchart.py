@@ -3,7 +3,8 @@
 Output is plain text built with fixed float formatting, so rendering the
 same series twice yields byte-identical files. The x axis is categorical:
 one evenly spaced tick per label (epsilon grids mix finite values with
-infinity, which rules out a numeric axis).
+infinity, which rules out a numeric axis). The y axis spans [0, 1], the
+range of an accuracy or an attack power.
 """
 
 from __future__ import annotations
@@ -19,25 +20,17 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_line_chart(
-    title: str,
-    x_labels,
-    series,
-    ylabel: str,
-    y_range=(0.0, 1.0),
-) -> str:
+def render_line_chart(title: str, x_labels, series, ylabel: str) -> str:
     """Build an SVG document for one line chart.
 
     `series` is a list of (name, values) pairs; values align with
     `x_labels` and may contain None for missing points (the line skips
-    them). Returns the SVG text.
+    them; a value outside [0, 1] is drawn at the nearer edge). Returns the
+    SVG text.
     """
     x_labels = list(x_labels)
     if not x_labels:
         raise ConfigError("chart needs at least one x position")
-    lo, hi = float(y_range[0]), float(y_range[1])
-    if not hi > lo:
-        raise ConfigError("y_range must be increasing")
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -48,9 +41,7 @@ def render_line_chart(
         return _MARGIN_L + plot_w * i / (len(x_labels) - 1)
 
     def y_at(v: float) -> float:
-        frac = (v - lo) / (hi - lo)
-        frac = min(max(frac, 0.0), 1.0)
-        return _MARGIN_T + plot_h * (1.0 - frac)
+        return _MARGIN_T + plot_h * (1.0 - min(max(v, 0.0), 1.0))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -71,7 +62,7 @@ def render_line_chart(
 
     # y ticks at fifths
     for k in range(6):
-        v = lo + (hi - lo) * k / 5
+        v = k / 5
         y = y_at(v)
         parts.append(
             f'<line x1="{x0 - 4}" y1="{_fmt(y)}" x2="{x0}" y2="{_fmt(y)}" stroke="black"/>'

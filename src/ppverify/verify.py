@@ -143,8 +143,8 @@ def build_responses(models, query_sets, explainer_cfg, backgrounds) -> np.ndarra
     for m, queries, background in zip(models, query_sets, backgrounds, strict=True):
         try:
             X = queries.feature_matrix()
-            if queries.n_rows == 0:
-                raise DataError("query set is empty")
+            if 0 in X.shape:
+                raise DataError(f"query set has {X.shape[0]} rows and {X.shape[1]} features")
             if np.isnan(X).any():
                 raise DataError("queries contain missing cells")
             if probes and X.shape[1] != probes[0][0].shape[1]:
@@ -416,11 +416,15 @@ def _check_unique(header, path) -> None:
 
 
 def responses_to_csv(matrix, feature_names, path) -> None:
-    """Write a response matrix as CSV: feature columns, then intercept, then yhat."""
+    """Write a response matrix as CSV: feature columns, then intercept, then
+    yhat. A matrix that `responses_from_csv` would refuse is not written."""
     header = list(feature_names) + ["intercept", "yhat"]
     if matrix.shape[1] != len(header):
         raise DataError(f"response vectors have {matrix.shape[1]} entries, expected {len(header)}")
     _check_unique(header, path)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}: response row {int(np.argmin(finite))} holds a non-finite cell")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -1,18 +1,22 @@
 """Files read at the load boundary: version-2 verifier files load and are
 rewritten byte for byte, version-1 files are refused, and every malformed
-verifier, model file, schema sidecar, JSON config or response CSV, and
-every data cell that cannot be noised or trained on, ends in a config or
-data error with exit code 2 or 3."""
+verifier, model file, schema sidecar, JSON config or response CSV, every
+non-finite setting, and every data cell that cannot be noised or trained
+on, ends in a config or data error with exit code 2 or 3."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from ppverify.cli import main
-from ppverify.errors import DataError
+from ppverify.errors import ConfigError, DataError
+from ppverify.experiment import ExperimentConfig
+from ppverify.explain import LimeConfig, ShapConfig
 from ppverify.models import TrainConfig
 from ppverify.preprocess import PipelineLabel
+from ppverify.tabular import SyntheticSpec
 from ppverify.verify import (
     LabeledResponseSet,
     Responses,
@@ -510,3 +514,59 @@ def test_cli_rejects_an_infinite_data_cell_it_would_noise_or_train_on(tmp_path, 
     capsys.readouterr()
     assert main(argv) == 3
     assert capsys.readouterr().err.strip() == f"data error: {error}"
+
+
+# Every float setting, and the SHAP budget, which is an int or "exact"
+SETTINGS = [(cls, f.name) for cls in (TrainConfig, ExperimentConfig, SyntheticSpec, LimeConfig)
+            for f in dataclasses.fields(cls) if "float" in str(f.type)]
+SETTINGS.append((ShapConfig, "coalition_budget"))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, name", SETTINGS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in SETTINGS])
+def test_a_non_finite_setting_is_a_config_error(cls, name, value):
+    with pytest.raises(ConfigError):
+        cfg = cls(**{name: value})
+        if hasattr(cfg, "validate"):
+            cfg.validate()
+
+
+def overflow_model(tmp_path):
+    """A logreg model file whose weights overflow every logit to +-inf."""
+    path = tmp_path / "overflow.json"
+    path.write_text(MODEL.replace("[[0.25, -0.25]]", "[[1e308, -1e308]]"), encoding="utf-8")
+    return str(path)
+
+
+SYNTH = ["synth", "--rows", "50", "--features", "3"]
+RESPOND = ["respond", "--queries", "{data}", "--num-samples", "20"]
+OVERFLOW = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(SYNTH + ["--separation", "nan"], 2, id="synth-separation-nan"),
+    pytest.param(SYNTH + ["--separation", "inf"], 2, id="synth-separation-inf"),
+    pytest.param(SYNTH + ["--imbalance", "nan"], 2, id="synth-imbalance-nan"),
+    pytest.param(SYNTH + ["--duplicates", "nan"], 2, id="synth-duplicates-nan"),
+    pytest.param(RESPOND + ["--model", "{model}", "--ridge", "nan"], 2, id="respond-ridge-nan"),
+    pytest.param(RESPOND + ["--model", "{model}", "--kernel-width", "nan"], 2,
+                 id="respond-kernel-width-nan"),
+    pytest.param(RESPOND + ["--model", "{overflow}"], 3, id="respond-lime-overflow",
+                 marks=OVERFLOW),
+    pytest.param(RESPOND + ["--model", "{overflow}", "--explainer", "shap", "--budget", "64"],
+                 3, id="respond-shap-overflow", marks=OVERFLOW),
+])
+def test_cli_refuses_a_non_finite_setting_or_response_and_writes_nothing(tmp_path, capsys,
+                                                                         argv, code):
+    # each used to exit 0 with a file of nan (or empty) cells, or exit 4
+    data, model, out = tmp_path / "data.csv", tmp_path / "m.json", tmp_path / "out.csv"
+    data.write_text("f0,label\n0.5,0\n1.5,1\n2.5,0\n3.5,1\n", encoding="utf-8")
+    model.write_text(MODEL, encoding="utf-8")
+    paths = {"data": data, "model": model, "overflow": overflow_model(tmp_path)}
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv] + ["--output", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "data error: "), err
+    assert not out.exists()

@@ -122,6 +122,16 @@ def test_build_responses_rejects_missing_query_cells():
         build_responses([model], [queries], LimeConfig(seed=0), [queries])
 
 
+@pytest.mark.parametrize("cfg", [LimeConfig(seed=0), ShapConfig(seed=0)], ids=["lime", "shap"])
+def test_build_responses_rejects_queries_without_features(cfg):
+    # a label-only table; LIME's default kernel width would be 0, and SHAP
+    # has no coalition to draw
+    model = LinearProbModel([])
+    queries = build_dataset([[0.0], [1.0]])
+    with pytest.raises(DataError, match=r"^query set has 2 rows and 0 features$"):
+        build_responses([model], [queries], cfg, [queries])
+
+
 def test_build_responses_names_the_first_model_whose_queries_differ_in_width():
     models = [LinearProbModel([0.1] * k) for k in (2, 2, 3, 1)]
     query_sets = [build_dataset([[0.5] * k + [0.0]]) for k in (2, 2, 3, 1)]
