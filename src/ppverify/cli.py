@@ -56,17 +56,26 @@ def _load_dataset(path, schema_path=None):
 
 
 def _parse_budget_flag(text):
+    if text == "exact":
+        return EXACT
     try:
-        return EXACT if text == EXACT else int(text)
+        return int(text)
     except ValueError:
         raise ConfigError(f"--budget must be an integer or 'exact', got {text!r}") from None
 
 
 def _explainer_from_args(args):
     if args.explainer == "lime":
-        return LimeConfig(num_samples=args.num_samples, kernel_width=args.kernel_width,
-                          ridge_strength=args.ridge, seed=args.seed)
-    return ShapConfig(coalition_budget=_parse_budget_flag(args.budget), seed=args.seed)
+        return LimeConfig(
+            num_samples=args.num_samples,
+            kernel_width=args.kernel_width,
+            ridge_strength=args.ridge,
+            seed=args.seed,
+        )
+    return ShapConfig(
+        coalition_budget=_parse_budget_flag(args.budget),
+        seed=args.seed,
+    )
 
 
 # ---------------------------------------------------------------------------

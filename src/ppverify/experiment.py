@@ -178,13 +178,27 @@ def _eps_text(eps: float) -> str:
     return "inf" if math.isinf(float(eps)) else repr(float(eps))
 
 
+#: The ExperimentConfig key behind each LimeConfig/ShapConfig field it sets.
+_EXPLAINER_KEYS = {"num_samples": "lime_num_samples", "kernel_width": "lime_kernel_width",
+                   "ridge_strength": "lime_ridge", "coalition_budget": "shap_budget"}
+
+
 def _explainer_cfgs(cfg: ExperimentConfig, seed: int) -> dict:
-    """The LIME and SHAP settings of `cfg` under `seed`, by explainer name."""
-    return {
-        "lime": LimeConfig(num_samples=cfg.lime_num_samples, kernel_width=cfg.lime_kernel_width,
-                           ridge_strength=cfg.lime_ridge, seed=seed),
-        "shap": ShapConfig(coalition_budget=cfg.shap_budget, seed=seed),
-    }
+    """The LIME and SHAP settings of `cfg` under `seed`, by explainer name.
+    A ConfigError names the key of `cfg` at fault before the field's own."""
+    try:
+        return {
+            "lime": LimeConfig(
+                num_samples=cfg.lime_num_samples,
+                kernel_width=cfg.lime_kernel_width,
+                ridge_strength=cfg.lime_ridge,
+                seed=seed,
+            ),
+            "shap": ShapConfig(coalition_budget=cfg.shap_budget, seed=seed),
+        }
+    except ConfigError as exc:  # every explainer check starts with its field's name
+        key = _EXPLAINER_KEYS.get(str(exc).split()[0], "explainer")
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _load_source(cfg: ExperimentConfig) -> Dataset | None:
@@ -411,16 +425,9 @@ def summarize(report: ExperimentReport) -> list:
 
 
 def _summary_row(eps, method, vals):
-    if vals:
-        arr = np.asarray(vals)
-        return {
-            "epsilon": eps,
-            "method": method,
-            "mean": float(arr.mean()),
-            "stddev": float(arr.std()),
-            "n_trials": len(vals),
-        }
-    return {"epsilon": eps, "method": method, "mean": None, "stddev": None, "n_trials": 0}
+    mean, stddev = (float(np.mean(vals)), float(np.std(vals))) if vals else (None, None)
+    return {"epsilon": eps, "method": method, "mean": mean, "stddev": stddev,
+            "n_trials": len(vals)}
 
 
 def _csv_text(header: str, rows) -> str:
@@ -470,15 +477,10 @@ def emit_report(report: ExperimentReport, out_dir: str) -> dict:
     write("run_meta", "run_meta.json", json.dumps(report.runtime, indent=2, sort_keys=True) + "\n")
 
     x_labels = [_eps_text(e) for e in report.config.epsilon_grid]
+    means = {(r["method"], r["epsilon"]): r["mean"] for r in summary}
 
     def series_for(method):
-        values = []
-        for eps in report.config.epsilon_grid:
-            row = next(
-                r for r in summary if r["method"] == method and r["epsilon"] == float(eps)
-            )
-            values.append(row["mean"])
-        return values
+        return [means[method, float(eps)] for eps in report.config.epsilon_grid]
 
     write("accuracy_chart", "verification_accuracy.svg", render_line_chart(
         "Verification accuracy vs epsilon",

@@ -20,7 +20,12 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_line_chart(title: str, x_labels, series, ylabel: str) -> str:
+def render_line_chart(
+    title: str,
+    x_labels,
+    series,
+    ylabel: str,
+) -> str:
     """Build an SVG document for one line chart.
 
     `series` is a list of (name, values) pairs; values align with
@@ -41,7 +46,8 @@ def render_line_chart(title: str, x_labels, series, ylabel: str) -> str:
         return _MARGIN_L + plot_w * i / (len(x_labels) - 1)
 
     def y_at(v: float) -> float:
-        return _MARGIN_T + plot_h * (1.0 - min(max(v, 0.0), 1.0))
+        frac = min(max(v, 0.0), 1.0)
+        return _MARGIN_T + plot_h * (1.0 - frac)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '

@@ -96,11 +96,7 @@ class MLVerifier:
     """A classifier over response vectors and the task its classes encode."""
 
     model: Predictor
-    task: str
-
-    def __post_init__(self):
-        if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
+    task: str  # checked by LabeledResponseSet or load_verifier, its two makers
 
 
 @dataclass(frozen=True)
@@ -424,7 +420,7 @@ def responses_to_csv(matrix, feature_names, path) -> None:
     _check_unique(header, path)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
-        raise DataError(f"{path}: response row {int(np.argmin(finite))} holds a non-finite cell")
+        raise DataError(f"{path} line {int(np.argmin(finite)) + 2}: non-finite response cell")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
