@@ -8,6 +8,7 @@ them to distinct exit codes.
 """
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -67,6 +68,18 @@ _SCALAR_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bo
                  "None": type(None)}
 
 
+@functools.cache
+def _scalar_fields(cls) -> tuple:
+    """(name, type names) of each field of the dataclass `cls` annotated with
+    int, float, str, bool or a union of them, parsed once per class."""
+    fields = []
+    for f in dataclasses.fields(cls):
+        names = tuple(t.strip() for t in str(getattr(f.type, "__name__", f.type)).split("|"))
+        if all(t in _SCALAR_TYPES for t in names):
+            fields.append((f.name, names))
+    return tuple(fields)
+
+
 def check_field_types(obj) -> None:
     """ConfigError unless every field of the dataclass `obj` annotated with
     int, float, str, bool or a union of them holds such a value.
@@ -75,16 +88,13 @@ def check_field_types(obj) -> None:
     can hold fail); a bool passes only for a bool. Fields of any other
     type are the caller's to check.
     """
-    for f in dataclasses.fields(obj):
-        names = [t.strip() for t in str(getattr(f.type, "__name__", f.type)).split("|")]
-        if not all(t in _SCALAR_TYPES for t in names):
-            continue
-        value = getattr(obj, f.name)
+    for name, names in _scalar_fields(type(obj)):
+        value = getattr(obj, name)
         if not any(
             isinstance(value, _SCALAR_TYPES[t]) and (t == "bool") == isinstance(value, bool)
             for t in names
         ):
-            raise ConfigError(f"{f.name} must be {' or '.join(names)}, got {value!r}")
+            raise ConfigError(f"{name} must be {' or '.join(names)}, got {value!r}")
         if "float" in names and isinstance(value, numbers.Real) and not abs(value) <= _FLOAT_MAX:
             shown = "an int no float can hold" if isinstance(value, numbers.Integral) else value
-            raise ConfigError(f"{f.name} must be a finite float, got {shown}")
+            raise ConfigError(f"{name} must be a finite float, got {shown}")

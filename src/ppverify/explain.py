@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DataError, check_field_types
-from .models import DecisionTreeModel, Predictor, RandomForestModel
+from .models import DecisionTreeModel, Predictor, RandomForestModel, row_sum
 
 #: Sentinel for ShapConfig.coalition_budget requesting full enumeration.
 EXACT = "exact"
@@ -216,7 +216,7 @@ def _lime_geometry(probe: Probe, x, cfg: LimeConfig) -> tuple:
     (N,) = _shared(probe, key, lambda: _draw(key))
     Z = x + N * sigma
     scaled = np.where(sigma > 0, (Z - x) / np.where(sigma > 0, sigma, 1.0), 0.0)
-    d2 = np.sum(scaled * scaled, axis=1)
+    d2 = row_sum(list((scaled * scaled).T))
     w = np.exp(-d2 / (width * width))
     A = np.column_stack([Z, np.ones(Z.shape[0])])
     Aw = A * w[:, None]

@@ -107,6 +107,38 @@ class Predictor:
 # Multinomial logistic regression
 
 
+def row_sum(cols) -> np.ndarray:
+    """`np.sum(A, axis=1)` of the C-contiguous `A` whose columns are the list
+    `cols`, bit for bit in numpy's pairwise order, for any column count; a
+    row of nothing but -0.0 may differ only in the sign of its zero sum."""
+    n = len(cols)
+    if n > 128:  # two halves, cut at a multiple of 8
+        h = n // 2 - n // 2 % 8
+        return row_sum(cols[:h]) + row_sum(cols[h:])
+    if n >= 8:  # 8 running sums joined pairwise, then the last n % 8 columns
+        a = [sum(cols[j + 8 : n - n % 8 : 8], cols[j]) for j in range(8)]
+        head = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+        cols = [head] + cols[n - n % 8 :]
+    return sum(cols[1:], cols[0])  # left to right
+
+
+def softmax(Z) -> np.ndarray:
+    """Row softmax of the C-contiguous `Z`, in place, equal bit for bit to
+    `exp(Z - max) / np.sum(exp(Z - max), axis=1)`: a max is exact in any order,
+    and np.exp runs on the whole buffer, as its strided path may round otherwise."""
+    cols = list(Z.T)
+    top = np.maximum(cols[0], cols[-1])
+    for c in cols[1:-1]:
+        np.maximum(top, c, out=top)
+    for c in cols:
+        c -= top
+    np.exp(Z, out=Z)
+    total = row_sum(cols)
+    for c in cols:
+        c /= total
+    return Z
+
+
 def logreg_loss_grad(params: np.ndarray, X1: np.ndarray, Y: np.ndarray, l2: float):
     """Mean cross-entropy plus (l2/2)*||W||^2 and its gradient.
 
@@ -115,12 +147,9 @@ def logreg_loss_grad(params: np.ndarray, X1: np.ndarray, Y: np.ndarray, l2: floa
     is not penalized.
     """
     n = X1.shape[0]
-    Z = X1 @ params
-    Z = Z - Z.max(axis=1, keepdims=True)
-    expZ = np.exp(Z)
-    P = expZ / expZ.sum(axis=1, keepdims=True)
+    P = softmax(X1 @ params)
     eps = 1e-12
-    loss = -np.mean(np.sum(Y * np.log(P + eps), axis=1))
+    loss = -np.mean(row_sum(list((Y * np.log(P + eps)).T)))
     penalty = params.copy()
     penalty[-1, :] = 0.0
     loss += 0.5 * l2 * float(np.sum(penalty * penalty))
@@ -139,10 +168,7 @@ class LogisticRegressionModel(Predictor):
         self.bias = np.asarray(bias, dtype=float)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        Z = np.asarray(X, dtype=float) @ self.weights + self.bias
-        Z = Z - Z.max(axis=1, keepdims=True)
-        expZ = np.exp(Z)
-        return expZ / expZ.sum(axis=1, keepdims=True)
+        return softmax(np.asarray(X, dtype=float) @ self.weights + self.bias)
 
     def _payload(self) -> dict:
         return {"weights": self.weights.tolist(), "bias": self.bias.tolist()}
@@ -162,12 +188,9 @@ def _fit_logregs(problems, cfg: TrainConfig) -> list:
     - each model keeps its own two matmuls, on C-contiguous views, because
       BLAS may split a sum by matrix shape, so stacked matrices could round
       differently;
-    - the softmax runs once per step on one buffer holding every model's
-      rows, column by column: a max is exact in any order, and numpy sums
-      fewer than 8 numbers left to right, so below 8 classes the column
-      sweep adds in the order of `sum(axis=1)`;
+    - `softmax` runs once per step on one buffer holding every model's rows;
     - the update runs once per step on the stacked (models, d+1, k) params.
-    Each step works in preallocated buffers and skips the loss.
+    Each step reuses its matrix buffers and skips the loss.
     """
     d, k = problems[0][0].shape[1], problems[0][3].size
     sizes = [X.shape[0] for X, *_ in problems]
@@ -175,8 +198,6 @@ def _fit_logregs(problems, cfg: TrainConfig) -> list:
     Y = np.zeros((bounds[-1], k))
     Y[np.arange(bounds[-1]), np.concatenate([y for _, y, *_ in problems])] = 1.0
     Z = np.empty_like(Y)
-    cols = [Z[:, j] for j in range(k)]
-    top, total = np.empty(bounds[-1]), np.empty(bounds[-1])
     params = np.zeros((len(problems), d + 1, k))
     penalty = np.zeros_like(params)  # params with the bias rows zeroed
     grad, step = np.empty_like(params), np.empty_like(params)
@@ -188,20 +209,7 @@ def _fit_logregs(problems, cfg: TrainConfig) -> list:
     for _ in range(cfg.iterations):
         for X1, _, p, z, _ in views:
             np.matmul(X1, p, out=z)
-        np.maximum(cols[0], cols[1], out=top)
-        for c in cols[2:]:
-            np.maximum(top, c, out=top)
-        for c in cols:
-            c -= top
-        np.exp(Z, out=Z)
-        if k < 8:
-            np.add(cols[0], cols[1], out=total)
-            for c in cols[2:]:
-                total += c
-        else:
-            np.sum(Z, axis=1, out=total)
-        for c in cols:
-            c /= total
+        softmax(Z)
         Z -= Y  # P - Y
         for _, X1T, _, z, g in views:
             np.matmul(X1T, z, out=g)
@@ -252,18 +260,11 @@ class _Trees:
     depth: int
 
 
-def _gini_columns(columns, total, k: int) -> np.ndarray:
-    """Gini impurity of rows over `total` samples from their `k` class-count
-    columns, equal to `1 - np.sum(p * p, axis=-1)` bit for bit: numpy sums
-    fewer than 8 numbers left to right, as the running column here does,
-    and more pairwise, so from 8 classes on numpy sums the stacked squares."""
+def _gini_columns(columns, total) -> np.ndarray:
+    """Gini impurity of rows over `total` samples from their class-count
+    columns, equal to `1 - np.sum(p * p, axis=-1)` bit for bit."""
     t = np.maximum(total, 1)
-    wide = k >= 8
-    sq = np.zeros((t.size, k if wide else 1))
-    for c, col in enumerate(columns):
-        p = col / t
-        sq[:, c if wide else 0] += p * p
-    return 1.0 - sq.sum(axis=-1)
+    return 1.0 - row_sum([np.square(col / t) for col in columns])
 
 
 def _best_splits(X, value_rank, srow, snode, sy, size, counts, cand, min_leaf):
@@ -317,7 +318,7 @@ def _best_splits(X, value_rank, srow, snode, sy, size, counts, cand, min_leaf):
                     left = (packed >> bits * (c - c0)) & ((1 << bits) - 1)
                     yield np.concatenate([left, counts[node, c] - left])
 
-        g = _gini_columns(class_columns(), np.concatenate([left_n, right_n]), k)
+        g = _gini_columns(class_columns(), np.concatenate([left_n, right_n]))
         gini = (left_n * g[: end.size] + right_n * g[end.size :]) / size[node]
         # first minimum of each (slot, node) run of boundaries
         head = np.ones(end.size, dtype=bool)

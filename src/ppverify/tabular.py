@@ -425,6 +425,8 @@ def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     rows have one feature pushed far outside three standard deviations,
     missing rows have one feature cell blanked.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     n, d, k = spec.rows, spec.features, spec.classes
 

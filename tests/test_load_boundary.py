@@ -570,3 +570,12 @@ def test_cli_refuses_a_non_finite_setting_or_response_and_writes_nothing(tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "data error: "), err
     assert not out.exists()
+
+
+def test_synth_refuses_a_negative_seed_and_writes_nothing(tmp_path, capsys):
+    # it used to end in "internal error: expected non-negative integer" (exit 4)
+    out = tmp_path / "x.csv"
+    capsys.readouterr()
+    assert main(["synth", "--seed", "-1", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == "config error: seed must be non-negative, got -1"
+    assert not out.exists()

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_dataset
@@ -13,8 +13,10 @@ from ppverify.models import (
     logreg_loss_grad,
     model_from_payload,
     predict_batch,
+    row_sum,
     save_model,
     schema_fingerprint,
+    softmax,
     train,
 )
 from ppverify.tabular import SyntheticSpec, make_synthetic
@@ -93,6 +95,34 @@ def test_logreg_probabilities_are_normalized():
     P = model.predict_proba(d.feature_matrix())
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-9)
     assert (P >= 0).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 300), rows=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+@example(k=7, rows=5, seed=0)
+@example(k=8, rows=5, seed=1)
+@example(k=127, rows=5, seed=2)
+@example(k=128, rows=5, seed=3)
+@example(k=129, rows=5, seed=4)
+@example(k=136, rows=5, seed=5)
+@example(k=257, rows=5, seed=6)
+def test_row_sum_equals_numpy_sum_bit_for_bit(k, rows, seed):
+    # numpy's pairwise order: left to right under 8 columns, 8 running sums
+    # up to 128, and above that two halves cut at a multiple of 8
+    rng = np.random.default_rng(seed)
+    A = rng.choice([-1.0, 1.0], (rows, k)) * 10.0 ** rng.uniform(-3, 6, (rows, k))
+    A[:, rng.random(k) < 0.2] = 0.0
+    assert np.array_equal(row_sum(list(A.T)), np.sum(A, axis=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(2, 20), rows=st.integers(1, 40), scale=st.sampled_from([1.0, 30.0, 700.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_softmax_equals_the_three_line_reference_bit_for_bit(k, rows, scale, seed):
+    Z = np.random.default_rng(seed).uniform(-scale, scale, (rows, k))
+    E = np.exp(Z - Z.max(axis=1, keepdims=True))
+    want = E / np.sum(E, axis=1, keepdims=True)
+    assert np.array_equal(softmax(Z.copy()), want)
 
 
 def test_dtree_respects_depth_and_leaf_bounds():

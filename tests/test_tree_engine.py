@@ -158,13 +158,12 @@ def test_a_dtree_shap_run_with_one_ulp_splits_raises_no_runtime_warning():
 
 @pytest.mark.parametrize("k", range(2, 17))
 def test_column_gini_equals_the_row_sum_bit_for_bit(k):
-    # pins the summation order the column-wise Gini relies on: left to right
-    # below 8 classes, numpy's own row sum from 8 on
+    # the column-wise Gini adds its squares in numpy's row-sum order at every k
     rng = np.random.default_rng(k)
     counts = rng.integers(0, 40, size=(500, k)) * (rng.random((500, k)) < 0.7)
     total = counts.sum(axis=1)
     want = ref._gini_from_counts(counts, total[:, None])
-    assert np.array_equal(models._gini_columns(counts.T, total, k), want)
+    assert np.array_equal(models._gini_columns(counts.T, total), want)
 
 
 # Both features split this table into the same weighted Gini, 1/3, but
