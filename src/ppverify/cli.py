@@ -17,7 +17,7 @@ from .experiment import EXPLAINERS, METHODS, ExperimentConfig, emit_report, run_
 from .explain import EXACT, LimeConfig, ShapConfig
 from .ldp import PrivacyBudget, privatize
 from .membership import AttackConfig, mia_power
-from .models import ARCHITECTURES, TrainConfig, load_model, save_model, train
+from .models import ARCHITECTURES, TrainConfig, check_features, load_model, save_model, train
 from .preprocess import ENUMERATION_MODES, Pipeline, apply_pipeline, enumerate_pipelines
 from .tabular import (
     SyntheticSpec,
@@ -51,8 +51,7 @@ _SYNTH_FLAGS = {"rows": "rows", "features": "features", "classes": "classes",
 
 
 def _load_dataset(path, schema_path=None):
-    schema = load_schema_sidecar(schema_path) if schema_path else "infer"
-    return load_csv(path, schema=schema)
+    return load_csv(path, schema=load_schema_sidecar(schema_path) if schema_path else None)
 
 
 def _parse_budget_flag(text):
@@ -146,6 +145,8 @@ def cmd_respond(args) -> int:
     model = load_model(args.model)
     queries = _load_dataset(args.queries, args.schema)
     background = _load_dataset(args.background, args.schema) if args.background else queries
+    check_features(model, queries, args.queries)
+    check_features(model, background, args.background or args.queries)
     responses = build_responses([model], [queries], _explainer_from_args(args), [background])
     responses_to_csv(responses, queries.feature_names, args.output)
     print(f"wrote {len(responses)} responses to {args.output}")

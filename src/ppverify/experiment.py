@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ConfigError(f"source must be one of {SOURCES}, got {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             raise ConfigError("csv source needs csv_path")
+        if self.source == "synthetic" and self.synthetic is None:
+            raise ConfigError("synthetic source needs a synthetic spec")
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.verifier_architecture not in ARCHITECTURES:
@@ -206,7 +208,7 @@ def _load_source(cfg: ExperimentConfig) -> Dataset | None:
     refused here: every pipeline would train on it."""
     if cfg.source != "csv":
         return None
-    schema = load_schema_sidecar(cfg.schema_path) if cfg.schema_path else "infer"
+    schema = load_schema_sidecar(cfg.schema_path) if cfg.schema_path else None
     source = load_csv(cfg.csv_path, schema=schema)
     infinite = np.isinf(source.values).any(axis=0)
     if infinite.any():

@@ -77,7 +77,6 @@ class Predictor:
     def __init__(self, feature_names, class_values):
         self.feature_names = tuple(feature_names)
         self.class_values = np.asarray(class_values, dtype=float)
-        self.schema_fingerprint = schema_fingerprint(self.feature_names)
 
     @property
     def n_classes(self) -> int:
@@ -605,16 +604,20 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Predictor:
     return train_many([dataset], [cfg])[0]
 
 
+def check_features(m: Predictor, data: Dataset, where: str) -> None:
+    """DataError unless the feature columns of `data`, which `where` names,
+    are the model's training features, in order."""
+    if data.feature_names != m.feature_names:
+        raise DataError(f"{where}: features {','.join(data.feature_names)} do not match "
+                        f"the model's training features {','.join(m.feature_names)}")
+
+
 def predict_batch(m: Predictor, queries: Dataset):
     """Predict every query row; the label column is ignored.
 
     Returns a list of (class index, probability vector) pairs.
     """
-    if schema_fingerprint(queries.feature_names) != m.schema_fingerprint:
-        raise DataError(
-            "query features do not match the model's training features: "
-            f"{queries.feature_names!r}"
-        )
+    check_features(m, queries, "queries")
     X = queries.feature_matrix()
     if np.isnan(X).any():
         raise DataError("queries contain missing cells")

@@ -166,45 +166,30 @@ def column_stats(d: Dataset, index: int) -> ColumnStats:
 # CSV and schema sidecar IO
 
 
-def _infer_schema(header, columns_text) -> tuple[ColumnSchema, ...]:
-    schema = []
-    for j, name in enumerate(header):
-        tokens = [t for t in columns_text[j] if t not in MISSING_TOKENS]
-        parsed = []
-        numeric = len(tokens) > 0
-        for t in tokens:
-            try:
-                v = float(t)
-            except ValueError:
-                numeric = False
-                break
-            if math.isnan(v):
-                continue  # literal NaN text counts as missing
-            parsed.append(v)
-        if numeric and parsed:
-            integral = all(v.is_integer() for v in parsed if math.isfinite(v))
-            distinct = len(set(parsed))
-            kind = KIND_DISCRETE if integral and distinct <= DISCRETE_DISTINCT_LIMIT else KIND_CONTINUOUS
-        elif numeric:
-            kind = KIND_CONTINUOUS  # numeric column whose observed cells were all NaN text
-        else:
-            kind = KIND_CATEGORICAL
-        is_label = j == len(header) - 1  # inference convention: last column is the label
-        if kind == KIND_CATEGORICAL:
-            cats = tuple(sorted(set(tokens)))
-            schema.append(ColumnSchema(name, kind, cats, is_label))
-        else:
-            schema.append(ColumnSchema(name, kind, (), is_label))
-    return tuple(schema)
+def check_unique(header, path) -> None:
+    """DataError naming the columns that `header` repeats."""
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise DataError(f"{path}: the header repeats column {', '.join(repeated)}")
 
 
-def _read_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
+def read_rows(path):
+    """The header and body rows of the CSV at `path`, read as UTF-8 with a
+    leading BOM dropped. DataError, naming the file, when a byte is not
+    UTF-8, the csv module refuses a line (named too), the file is empty, the
+    header repeats a column, or a row has other than the header's field count."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        rows = list(reader)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:  # a field longer than the csv module's limit
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
     header, body = rows[0], rows[1:]
+    check_unique(header, path)
     for i, row in enumerate(body):
         if len(row) != len(header):
             raise DataError(
@@ -213,10 +198,38 @@ def _read_rows(path):
     return header, body
 
 
-def load_csv(path: str, schema="infer") -> Dataset:
+def _numbers(cells):
+    """The cells as floats, NaN where a cell is missing or NaN text, or the
+    row index of the first cell that does not parse as a number."""
+    floats = []
+    for t in cells:
+        try:
+            floats.append(math.nan if t in MISSING_TOKENS else float(t))
+        except ValueError:
+            return len(floats)
+    floats = np.array(floats)
+    floats[np.isnan(floats)] = math.nan  # "-nan" text loads as the one NaN
+    return floats
+
+
+def _infer_kind(cells, floats) -> str:
+    """Numeric iff every observed cell parses as a number; discrete iff the
+    finite values are also integers, at most 64 distinct; else categorical.
+    `floats` is what `_numbers` made of `cells`."""
+    if isinstance(floats, int):
+        return KIND_CATEGORICAL
+    observed = floats[~np.isnan(floats)]
+    if not observed.size:  # continuous if some cell was NaN text, not missing
+        return KIND_CONTINUOUS if any(t not in MISSING_TOKENS for t in cells) else KIND_CATEGORICAL
+    integral = np.array_equal(observed, np.floor(observed))  # floor(inf) is inf
+    distinct = len(set(observed.tolist()))
+    return KIND_DISCRETE if integral and distinct <= DISCRETE_DISTINCT_LIMIT else KIND_CONTINUOUS
+
+
+def load_csv(path: str, schema=None) -> Dataset:
     """Load a UTF-8 CSV with a header row.
 
-    Empty cells and "?" load as missing. With `schema="infer"`, a column is
+    Empty cells and "?" load as missing. Without a schema, a column is
     numeric iff every observed cell parses as a number, numeric-discrete iff
     additionally all values are integers with at most 64 distinct values, and
     categorical otherwise; the last column becomes the label. Pass a sequence
@@ -224,56 +237,39 @@ def load_csv(path: str, schema="infer") -> Dataset:
     match the schema. Categorical schemas with empty `categories` collect
     them from the file (sorted); non-empty ones reject unknown categories.
     """
-    header, body = _read_rows(path)
-    columns_text = [[row[j] for row in body] for j in range(len(header))]
+    header, body = read_rows(path)
+    columns = list(zip(*body)) or [()] * len(header)
+    if schema is not None and [c.name for c in schema] != header:
+        raise DataError(
+            f"{path}: header {header!r} does not match schema names "
+            f"{[c.name for c in schema]!r}"
+        )
 
-    if isinstance(schema, str):
-        if schema != "infer":
-            raise ConfigError(f"unknown schema mode {schema!r}")
-        cols = _infer_schema(header, columns_text)
-    else:
-        cols = tuple(schema)
-        if [c.name for c in cols] != list(header):
-            raise DataError(
-                f"{path}: header {header!r} does not match schema names "
-                f"{[c.name for c in cols]!r}"
-            )
-        filled = []
-        for j, col in enumerate(cols):
-            if col.kind == KIND_CATEGORICAL and not col.categories:
-                observed = sorted(
-                    {t for t in columns_text[j] if t not in MISSING_TOKENS}
-                )
-                col = replace(col, categories=tuple(observed))
-            filled.append(col)
-        cols = tuple(filled)
-
-    n = len(body)
-    values = np.full((n, len(cols)), np.nan)
-    for j, col in enumerate(cols):
+    cols, values = [], np.full((len(body), len(header)), np.nan)
+    for j, cells in enumerate(columns):
+        col = schema[j] if schema is not None else None
+        floats = None if col is not None and col.kind == KIND_CATEGORICAL else _numbers(cells)
+        if col is None:
+            col = ColumnSchema(header[j], _infer_kind(cells, floats), (), j == len(header) - 1)
         if col.kind == KIND_CATEGORICAL:
-            code = {c: k for k, c in enumerate(col.categories)}
-            for i, t in enumerate(columns_text[j]):
-                if t in MISSING_TOKENS:
-                    continue
-                if t not in code:
-                    raise DataError(
-                        f"{path} line {i + 2}: unknown category {t!r} in column {col.name!r}"
-                    )
-                values[i, j] = code[t]
+            if not col.categories:
+                observed = sorted({t for t in cells if t not in MISSING_TOKENS})
+                col = replace(col, categories=tuple(observed))
+            code = dict.fromkeys(MISSING_TOKENS, math.nan)
+            code.update((c, k) for k, c in enumerate(col.categories))
+            unknown = next((i for i, t in enumerate(cells) if t not in code), None)
+            if unknown is not None:
+                raise DataError(f"{path} line {unknown + 2}: unknown category "
+                                f"{cells[unknown]!r} in column {col.name!r}")
+            values[:, j] = [code[t] for t in cells]
+        elif isinstance(floats, int):
+            raise DataError(
+                f"{path} line {floats + 2}: cannot parse {cells[floats]!r} as a number "
+                f"in column {col.name!r}"
+            )
         else:
-            for i, t in enumerate(columns_text[j]):
-                if t in MISSING_TOKENS:
-                    continue
-                try:
-                    v = float(t)
-                except ValueError:
-                    raise DataError(
-                        f"{path} line {i + 2}: cannot parse {t!r} as a number "
-                        f"in column {col.name!r}"
-                    ) from None
-                if not math.isnan(v):
-                    values[i, j] = v
+            values[:, j] = floats
+        cols.append(col)
     return Dataset(cols, values)
 
 

@@ -22,7 +22,7 @@ from .explain import LimeConfig, lime_explain, model_probe, shap_explain
 from .models import Predictor, TrainConfig, model_from_payload, train
 from .preprocess import PipelineLabel
 from .seeding import derive_seed
-from .tabular import ColumnSchema, Dataset, KIND_CONTINUOUS, KIND_DISCRETE
+from .tabular import ColumnSchema, Dataset, KIND_CONTINUOUS, KIND_DISCRETE, check_unique, read_rows
 
 TASKS = ("binary", "multi")
 GRANULARITIES = ("per_query", "concatenated")
@@ -336,6 +336,13 @@ VERIFIER_FORMAT = "ppverify-verifier"
 VERIFIER_VERSION = 2
 
 
+def _number(value) -> float:
+    """`value` as a float; TypeError unless it is a JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _threshold_from_payload(payload, task: str, path: str) -> ThresholdModel:
     where = f"{path}: threshold payload"
     granularity, tau, centroids = (
@@ -347,10 +354,10 @@ def _threshold_from_payload(payload, task: str, path: str) -> ThresholdModel:
         t = ThresholdModel(
             task=task,
             granularity=granularity,
-            tau=None if tau is None else float(tau),
-            centroids={int(k): float(v) for k, v in centroids.items()} if centroids else None,
+            tau=None if tau is None else _number(tau),
+            centroids={int(k): _number(v) for k, v in centroids.items()} if centroids else None,
         )
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{where} holds a malformed entry ({exc!r})") from None
     needs = "tau" if task == "binary" else "centroids"
     if getattr(t, needs) is None:
@@ -404,20 +411,13 @@ def load_verifier(path: str):
     return MLVerifier(model, task)
 
 
-def _check_unique(header, path) -> None:
-    """DataError naming the columns that `header` repeats."""
-    repeated = sorted({name for name in header if header.count(name) > 1})
-    if repeated:
-        raise DataError(f"{path}: the header repeats column {', '.join(repeated)}")
-
-
 def responses_to_csv(matrix, feature_names, path) -> None:
     """Write a response matrix as CSV: feature columns, then intercept, then
     yhat. A matrix that `responses_from_csv` would refuse is not written."""
     header = list(feature_names) + ["intercept", "yhat"]
     if matrix.shape[1] != len(header):
         raise DataError(f"response vectors have {matrix.shape[1]} entries, expected {len(header)}")
-    _check_unique(header, path)
+    check_unique(header, path)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise DataError(f"{path} line {int(np.argmin(finite)) + 2}: non-finite response cell")
@@ -430,22 +430,17 @@ def responses_to_csv(matrix, feature_names, path) -> None:
 def responses_from_csv(path: str, model_tag: str | None = None) -> Responses:
     """The responses a `responses_to_csv` file holds, tagged `model_tag`
     (default: the path)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
+    header, body = read_rows(path)
+    if not body:
         raise DataError(f"{path}: no response rows")
-    header = rows[0]
-    if len(header) < 3 or header[-1] != "yhat" or header[-2] != "intercept":
+    if len(header) < 3 or header[-2:] != ["intercept", "yhat"]:
         raise DataError(f"{path}: expected trailing intercept,yhat columns")
-    _check_unique(header, path)
     out = []
-    for q, row in enumerate(rows[1:]):
+    for q, row in enumerate(body):
         try:
             out.append([float(v) for v in row])
         except ValueError:
             raise DataError(f"{path} line {q + 2}: non-numeric response cell") from None
         if not np.isfinite(out[-1]).all():
             raise DataError(f"{path} line {q + 2}: non-finite response cell")
-        if len(row) != len(header):
-            raise DataError(f"{path} line {q + 2}: wrong field count")
     return Responses(np.array(out), path if model_tag is None else model_tag, tuple(header))

@@ -200,6 +200,13 @@ MALFORMED_VERIFIERS = [
     ("threshold-tau-1e400", binary_threshold_with_tau(0.125).replace("0.125", "1e400")),
     ("ml-bias--Infinity",
      edit("ml", lambda e: e["payload"]["params"]["bias"].__setitem__(0, float("-inf")))),
+    # tau and the centroids are JSON numbers: true used to load as 1.0
+    ("threshold-tau-true", binary_threshold_with_tau(True)),
+    ("threshold-tau-a-string", binary_threshold_with_tau("0.5")),
+    ("threshold-centroid-true",
+     edit("threshold", lambda e: e["payload"]["centroids"].update({"1": True}))),
+    ("threshold-tau-an-int-no-float-holds",
+     binary_threshold_with_tau(0.125).replace("0.125", "1" + "0" * 400)),
 ]
 
 # A logreg model file over the feature f0
@@ -253,6 +260,8 @@ CASES = (
                      id="experiment-config-epsilon-grid-not-a-list"),
         pytest.param("experiment", '{"synthetic": {"separation": 1%s}}' % ("0" * 400), 2,
                      id="experiment-synthetic-separation-an-int-no-float-holds"),
+        pytest.param("experiment", json.dumps({"synthetic": None}), 2,
+                     id="experiment-config-synthetic-null-under-a-synthetic-source"),
     ]
     + [
         pytest.param("experiment", json.dumps(config), 2, id=f"experiment-config-{name}")
@@ -578,4 +587,73 @@ def test_synth_refuses_a_negative_seed_and_writes_nothing(tmp_path, capsys):
     capsys.readouterr()
     assert main(["synth", "--seed", "-1", "--output", str(out)]) == 2
     assert capsys.readouterr().err.strip() == "config error: seed must be non-negative, got -1"
+    assert not out.exists()
+
+
+# Bytes of a data or response CSV cell that the csv module cannot read
+UNREADABLE = {"latin-1": b"caf\xe9", "long-field": b"x" * 200_000}
+UNREADABLE_ERRORS = {"latin-1": "{path}: not UTF-8 text (invalid continuation byte)",
+                     "long-field": "{path} line 3: field larger than field limit (131072)"}
+
+
+@pytest.mark.parametrize("fault", UNREADABLE)
+@pytest.mark.parametrize("command", ["privatize", "verify", "fit-verifier"])
+def test_cli_refuses_a_csv_it_cannot_read_and_writes_nothing(tmp_path, capsys, command, fault):
+    # each used to end in "internal error" (exit 4)
+    bad, out, verifier = tmp_path / "bad.csv", tmp_path / "out", tmp_path / "v.json"
+    if command == "privatize":
+        bad.write_bytes(b"f0,label\n0.5,0\n%s,1\n2.5,0\n3.5,1\n" % UNREADABLE[fault])
+    else:
+        bad.write_bytes(b"a,intercept,yhat\n0.5,0.4,1.0\n%s,0.1,1.0\n0.6,0.5,1.0\n"
+                        b"0.5,0.4,1.0\n" % UNREADABLE[fault])
+    verifier.write_bytes(GOLDEN["threshold"].encode())
+    write_csvs(tmp_path)
+    reference = str(tmp_path / "r0.csv")
+    argv = {
+        "privatize": ["privatize", "--input", str(bad), "--epsilon", "1"],
+        "verify": ["verify", "--verifier", str(verifier), "--target", str(bad),
+                   "--reference", reference],
+        "fit-verifier": ["fit-verifier", "--method", "threshold", "--task", "multi",
+                         "--responses", f"0={reference}", "--responses", f"1={bad}",
+                         "--reference", reference],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--output", str(out)]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "data error: " + UNREADABLE_ERRORS[fault].format(path=bad))
+    assert not out.exists()
+
+
+def test_a_leading_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path):
+    # train used to name the feature '\ufefff0'
+    data, model = tmp_path / "data.csv", tmp_path / "m.json"
+    data.write_text("\ufefff0,label\n0.5,0\n1.5,1\n2.5,0\n3.5,1\n", encoding="utf-8")
+    assert main(["train", "--input", str(data), "--arch", "dtree", "--output", str(model)]) == 0
+    assert json.loads(model.read_text(encoding="utf-8"))["feature_names"] == ["f0"]
+
+
+@pytest.mark.parametrize("flag, header", [
+    ("--queries", "f1,f0,label"),
+    ("--queries", "f0,f1,f2,label"),
+    ("--background", "f1,f0,label"),
+], ids=["queries-swapped", "queries-one-feature-too-many", "background-swapped"])
+def test_cli_respond_refuses_features_that_are_not_the_models(tmp_path, capsys, flag, header):
+    # swapped columns used to be explained under each other's weights (exit
+    # 0); a feature too many ended in "internal error: matmul: ..." (exit 4)
+    data, other = tmp_path / "data.csv", tmp_path / "other.csv"
+    model, out = tmp_path / "m.json", tmp_path / "r.csv"
+    data.write_text("f0,f1,label\n" + "".join(
+        f"{i % 7 * 0.5},{i % 5 * 0.25},{i % 2}\n" for i in range(20)), encoding="utf-8")
+    features = header.count(",")
+    other.write_text(header + "\n" + "".join("0.5," * features + f"{i % 2}\n" for i in range(20)),
+                     encoding="utf-8")
+    assert main(["train", "--input", str(data), "--arch", "logreg", "--output", str(model)]) == 0
+    queries = str(other if flag == "--queries" else data)
+    argv = ["respond", "--model", str(model), "--queries", queries, "--num-samples", "20",
+            "--output", str(out)]
+    capsys.readouterr()
+    assert main(argv + (["--background", str(other)] if flag == "--background" else [])) == 3
+    assert capsys.readouterr().err.strip() == (
+        f"data error: {other}: features {header.rsplit(',', 1)[0]} do not match the model's "
+        "training features f0,f1")
     assert not out.exists()

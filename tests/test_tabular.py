@@ -1,10 +1,12 @@
+import csv
 import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import csv_reference
 from conftest import build_dataset
 from ppverify.errors import ConfigError, DataError
 from ppverify.tabular import (
@@ -138,6 +140,45 @@ def test_csv_inference_kinds_and_label(tmp_path):
     assert d.schema[2].kind == KIND_DISCRETE
     assert d.schema[2].is_label and not d.schema[0].is_label
     assert np.isnan(d.values[2, 0])
+
+
+# Cell text for inference: integers (70 distinct, so that a column can
+# cross the 64-value discrete limit), decimals, NaN and infinity spellings,
+# missing tokens and words. Each column draws from a few of these sources.
+_TOKEN_SOURCES = (
+    st.integers(-10, 59).map(str),
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "1e400"]),
+    st.sampled_from(list(MISSING_TOKENS)),
+    st.sampled_from(["a", "b", "red", "x1"]),
+)
+
+
+@st.composite
+def _token_tables(draw):
+    """(header, body) of 1-4 columns and 1-80 rows of cell text."""
+    n_rows, n_cols = draw(st.integers(1, 80)), draw(st.integers(1, 4))
+    columns = []
+    for _ in range(n_cols):
+        sources = draw(st.sets(st.sampled_from(_TOKEN_SOURCES), min_size=1, max_size=3))
+        columns.append(draw(st.lists(st.one_of(*sources), min_size=n_rows, max_size=n_rows)))
+    return [f"c{j}" for j in range(n_cols)], [list(row) for row in zip(*columns)]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_token_tables())
+@example(table=(["c0", "y"], [[str(i), str(i % 2)] for i in range(64)]))
+@example(table=(["c0", "y"], [[str(i), str(i % 2)] for i in range(65)]))
+def test_inferred_schema_and_values_equal_the_two_pass_reference(tmp_path, table):
+    header, body = table
+    path = tmp_path / "tokens.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + body)
+    schema, values = csv_reference.load_table(header, body)
+    d = load_csv(str(path))
+    assert d.schema == schema
+    assert d.values.tobytes() == values.tobytes()
 
 
 def test_csv_question_mark_is_missing(tmp_path):
