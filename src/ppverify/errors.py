@@ -30,11 +30,12 @@ class DataError(PPVerifyError):
 def read_json(path: str, error_cls=DataError):
     """The JSON value stored in `path`; `error_cls` when it does not parse,
     or holds NaN, Infinity or -Infinity, which Python's json reads and JSON
-    lacks, or a number such as 1e400 that no float can hold."""
+    lacks, or a number such as 1e400 that no float can hold, or nests
+    deeper than the decoder can follow."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_constant=_no_constant, parse_float=_finite_float)
-        except ValueError as exc:  # JSONDecodeError, a non-finite number or non-UTF-8 bytes
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, 1e400, deep nesting
             raise error_cls(f"{path}: not valid JSON ({exc})") from None
 
 
@@ -47,6 +48,16 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{text} is not a finite number")
     return value
+
+
+def json_number(value, integral: bool = False):
+    """`value` as a float, or as an int if `integral`; TypeError unless it
+    is a JSON number (an integer if `integral`), which a bool or a string
+    is not. OverflowError for an int no float can hold."""
+    kinds = int if integral else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{value!r} is not {'an integer' if integral else 'a number'}")
+    return int(value) if integral else float(value)
 
 
 def json_field(mapping, key: str, where: str):

@@ -123,8 +123,7 @@ class ExperimentConfig:
         _explainer_cfgs(self, 0)  # both check their settings, the unused one too
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["synthetic"] = None if self.synthetic is None else dataclasses.asdict(self.synthetic)
+        d = dataclasses.asdict(self)  # the synthetic spec too, or None
         d["epsilon_grid"] = [_eps_text(e) for e in self.epsilon_grid]
         return d
 
@@ -217,22 +216,41 @@ def _load_source(cfg: ExperimentConfig) -> Dataset | None:
     return source
 
 
-def _attempt(fn, *args):
-    """`fn(*args)`, or the PPVerifyError it raised."""
-    try:
-        return fn(*args)
-    except PPVerifyError as exc:
-        return exc
+@dataclass(frozen=True)
+class TrialRecord:
+    """One trial's result rows, attack rows and stage seconds. The trial
+    that creates the record fills it; no other trial writes to it."""
+
+    rows: list = field(default_factory=list)
+    attack_rows: list = field(default_factory=list)
+    stages: dict = field(default_factory=dict)
+
+    @contextlib.contextmanager
+    def timed(self, stage: str):
+        """Add the time the block takes to `stages[stage]`."""
+        t = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages[stage] = self.stages.get(stage, 0.0) + (time.perf_counter() - t)
+
+    def attempt(self, stage: str, fn, *args):
+        """`fn(*args)`, timed as `stage`, or the PPVerifyError it raised."""
+        with self.timed(stage):
+            try:
+                return fn(*args)
+            except PPVerifyError as exc:
+                return exc
 
 
 def _ok(value):
-    """`value`, unless `_attempt` stored an error in its place: that is raised."""
+    """`value`, unless `TrialRecord.attempt` stored an error in its place: that is raised."""
     if isinstance(value, PPVerifyError):
         raise value
     return value
 
 
-def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, clock,
+def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, record,
                         eps_index=None):
     """Train one model per pipeline and collect its query responses.
 
@@ -240,7 +258,7 @@ def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, clo
     share randomness), but the explainer seed depends only on the trial: the
     probing side explains every model under the same perturbation draws, so
     identical models produce identical responses. `stage` also prefixes the
-    model tags, and `clock` records the training time as `<stage>_train`.
+    model tags, and `record` times the training as `<stage>_train`.
 
     Pipelines apply and their training sets are checked in order; the
     models before the first failure then train together in one `train_many`
@@ -261,7 +279,7 @@ def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, clo
             failure = exc
             break
         applied.append((label, tr, te, train_cfg))
-    with clock(f"{stage}_train"):
+    with record.timed(f"{stage}_train"):
         fitted = train_many([a[1] for a in applied], [a[3] for a in applied])
     e_cfg = _explainer_cfgs(cfg, derive_seed(cfg.master_seed, "explain", trial))[cfg.explainer]
     matrix = build_responses(
@@ -294,16 +312,16 @@ def _attack_groups(cfg: ExperimentConfig, train_d: Dataset, test_d: Dataset, tri
 
 
 def _score_verifiers(cfg, released, target, queries, pipelines, bg_idx, trial, eps_index,
-                     clock) -> dict:
+                     record) -> dict:
     """Accuracy per method of the two verifiers fit on the zoo of models
     trained on `released`, classifying each target model."""
     labels = [label for _, label in pipelines]
-    with clock("verifier_models"):
+    with record.timed("verifier_models"):
         zoo = _pipeline_responses(
-            cfg, released, queries, pipelines, bg_idx, "verifier", trial, clock, eps_index
+            cfg, released, queries, pipelines, bg_idx, "verifier", trial, record, eps_index
         )
         labeled = LabeledResponseSet([(label, zoo[label.class_id]) for label in labels], cfg.task)
-    with clock("verify"):
+    with record.timed("verify"):
         seed = derive_seed(cfg.master_seed, "fit-ml", trial, eps_index)
         v_ml = fit_ml_verifier(labeled, TrainConfig(cfg.verifier_architecture, seed=seed))
         reference = zoo[0]
@@ -321,12 +339,14 @@ def _score_verifiers(cfg, released, target, queries, pipelines, bg_idx, trial, e
     return {m: correct[m] / len(labels) for m in METHODS}
 
 
-def _run_trial(cfg: ExperimentConfig, source, pipelines, trial: int, clock):
-    """One trial's result rows and attack rows. The target responses, the
-    attack groups and each release are stored as a value or as the error
-    they raised; a cell's status is the first error it depends on, the
-    release's before the target's or the groups'."""
-    with clock("data"):
+def _run_trial(cfg: ExperimentConfig, source, pipelines, trial: int) -> TrialRecord:
+    """One trial's result rows, attack rows and stage seconds, in a record
+    of its own. The target responses, the attack groups and each release
+    are stored as a value or as the error they raised; a cell's status is
+    the first error it depends on, the release's before the target's or
+    the groups'."""
+    record = TrialRecord()
+    with record.timed("data"):
         if cfg.source == "synthetic":
             source = make_synthetic(cfg.synthetic, derive_seed(cfg.master_seed, "data", trial))
         train_d, test_d = split(
@@ -339,64 +359,49 @@ def _run_trial(cfg: ExperimentConfig, source, pipelines, trial: int, clock):
         queries = sample_rows(test_complete, qn, derive_seed(cfg.master_seed, "queries", trial))
         bg_rng = np.random.default_rng(derive_seed(cfg.master_seed, "background", trial))
         bg_idx = np.sort(bg_rng.permutation(qn)[:min(cfg.background_size, qn)])
-    with clock("target_models"):
-        target = _attempt(
-            _pipeline_responses, cfg, train_d, queries, pipelines, bg_idx, "target", trial, clock
-        )
+    target = record.attempt("target_models", _pipeline_responses, cfg, train_d, queries,
+                            pipelines, bg_idx, "target", trial, record)
     if cfg.attack:
-        with clock("attack"):
-            groups = _attempt(_attack_groups, cfg, train_d, test_d, trial)
+        groups = record.attempt("attack", _attack_groups, cfg, train_d, test_d, trial)
 
-    rows, attack_rows = [], []
-    for ei, eps in enumerate(cfg.epsilon_grid):
-        eps = float(eps)
-        with clock("release"):
-            ldp_seed = derive_seed(cfg.master_seed, "ldp", trial, ei)
-            released = _attempt(privatize, train_d, PrivacyBudget(eps), ldp_seed)
+    for ei, eps in enumerate(map(float, cfg.epsilon_grid)):
+        ldp_seed = derive_seed(cfg.master_seed, "ldp", trial, ei)
+        released = record.attempt("release", privatize, train_d, PrivacyBudget(eps), ldp_seed)
         try:
             accuracies = _score_verifiers(
-                cfg, _ok(released), _ok(target), queries, pipelines, bg_idx, trial, ei, clock
+                cfg, _ok(released), _ok(target), queries, pipelines, bg_idx, trial, ei, record
             )
-            rows += [ResultRow(eps, trial, m, accuracies[m]) for m in METHODS]
+            record.rows.extend(ResultRow(eps, trial, m, accuracies[m]) for m in METHODS)
         except PPVerifyError as exc:
-            rows += [ResultRow(eps, trial, m, math.nan, f"error: {exc}") for m in METHODS]
+            record.rows.extend(ResultRow(eps, trial, m, math.nan, f"error: {exc}") for m in METHODS)
         if cfg.attack:
-            with clock("attack"):
+            with record.timed("attack"):
                 try:
                     result = mia_power(_ok(released), AttackConfig(*_ok(groups), cfg.attack_fpr))
-                    attack_rows.append(AttackRow(eps, trial, result.power, result.gamma))
+                    record.attack_rows.append(AttackRow(eps, trial, result.power, result.gamma))
                 except PPVerifyError as exc:
-                    attack_rows.append(AttackRow(eps, trial, math.nan, math.nan, f"error: {exc}"))
-    return rows, attack_rows
+                    record.attack_rows.append(
+                        AttackRow(eps, trial, math.nan, math.nan, f"error: {exc}"))
+    return record
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Execute the full protocol and return an in-memory report."""
+    """Execute the full protocol and return an in-memory report. Each stage
+    time in `runtime` is the sum of the trials' own times for that stage."""
     cfg.validate()
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     t0 = time.perf_counter()
-    stages: dict = {}
-
-    @contextlib.contextmanager
-    def clock(stage):
-        """Add the time the block takes to `stages[stage]`."""
-        t = time.perf_counter()
-        try:
-            yield
-        finally:
-            stages[stage] = stages.get(stage, 0.0) + (time.perf_counter() - t)
-
     pipelines = enumerate_pipelines(cfg.enumeration_mode)
     source = _load_source(cfg)
-    per_trial = [_run_trial(cfg, source, pipelines, trial, clock) for trial in range(cfg.trials)]
-    rows = [row for trial_rows, _ in per_trial for row in trial_rows]
-    attack_rows = [row for _, trial_rows in per_trial for row in trial_rows]
+    records = [_run_trial(cfg, source, pipelines, trial) for trial in range(cfg.trials)]
+    stages = dict.fromkeys(stage for r in records for stage in r.stages)
     runtime = {
         "started_at": started,
-        "stages": {k: round(v, 3) for k, v in stages.items()},
+        "stages": {k: round(sum(r.stages.get(k, 0.0) for r in records), 3) for k in stages},
         "total_seconds": round(time.perf_counter() - t0, 3),
     }
-    return ExperimentReport(cfg, rows, attack_rows, runtime)
+    rows = [row for r in records for row in r.rows]
+    return ExperimentReport(cfg, rows, [row for r in records for row in r.attack_rows], runtime)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +455,7 @@ def emit_report(report: ExperimentReport, out_dir: str) -> dict:
     results.csv, summary.csv, attack.csv and the charts are pure functions
     of the report's result content, so re-emitting the same report (or a
     report reproduced from the same config and seed) is byte-identical.
-    run_meta.json records wall-clock timings and is exempt from that
+    run_meta.json records elapsed times and is exempt from that
     guarantee.
     """
     os.makedirs(out_dir, exist_ok=True)

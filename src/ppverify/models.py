@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_field_types, json_field, read_json
+from .errors import ConfigError, DataError, check_field_types, json_field, json_number, read_json
 from .seeding import derive_seed
 from .tabular import KIND_CATEGORICAL, Dataset
 
@@ -631,10 +631,16 @@ def save_model(m: Predictor, path: str) -> None:
         fh.write("\n")
 
 
-def _array(value, dtype, what: str) -> np.ndarray:
+def _array(value, what: str, integral: bool = False) -> np.ndarray:
+    """`value`, a JSON number or nested lists of them, as a float array, or
+    as an int64 array of JSON integers if `integral`."""
+
+    def entries(v):
+        return [entries(x) for x in v] if isinstance(v, list) else json_number(v, integral)
+
     try:
-        return np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError):
+        return np.asarray(entries(value), dtype=np.int64 if integral else float)
+    except (TypeError, ValueError, OverflowError, RecursionError):
         raise DataError(f"model file: {what} is not a numeric array") from None
 
 
@@ -654,10 +660,10 @@ def _tree_from_payload(p, n_features: int, k: int, where: str) -> _Trees:
     if not cols[0]:
         raise DataError(f"model file: {where} has no nodes")
     feature, left, right = (
-        _array(p[key], np.int64, f"{where} {key}") for key in ("feature", "left", "right")
+        _array(p[key], f"{where} {key}", integral=True) for key in ("feature", "left", "right")
     )
-    threshold = _array(p["threshold"], float, f"{where} threshold")
-    dist = _array(p["dist"], float, f"{where} dist")
+    threshold = _array(p["threshold"], f"{where} threshold")
+    dist = _array(p["dist"], f"{where} dist")
     n = feature.size
     if any(a.shape != (n,) for a in (feature, threshold, left, right)):
         raise DataError(f"model file: {where} node lists must be flat")
@@ -709,14 +715,14 @@ def model_from_payload(payload: dict) -> Predictor:
     names = json_field(payload, "feature_names", _TOP)
     if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
         raise DataError("model file: feature_names must be a list of strings")
-    classes = _array(json_field(payload, "class_values", _TOP), float, "class_values")
+    classes = _array(json_field(payload, "class_values", _TOP), "class_values")
     if classes.ndim != 1:
         raise DataError("model file: class_values must be a flat list")
     params = json_field(payload, "params", _TOP)
     d, k = len(names), classes.size
     if arch == "logreg":
-        weights = _array(json_field(params, "weights", _PARAMS), float, "weights")
-        bias = _array(json_field(params, "bias", _PARAMS), float, "bias")
+        weights = _array(json_field(params, "weights", _PARAMS), "weights")
+        bias = _array(json_field(params, "bias", _PARAMS), "bias")
         if weights.shape != (d, k) or bias.shape != (k,):
             raise DataError(f"model file: logreg needs {d}x{k} weights and {k} biases")
         return LogisticRegressionModel(names, classes, weights, bias)

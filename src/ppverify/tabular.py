@@ -316,7 +316,9 @@ def load_schema_sidecar(path: str):
         categories = entry.get("categories", [])
         if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
             raise DataError(f"{where}: categories must be a list of strings")
-        is_label = bool(entry.get("is_label", False))
+        is_label = entry.get("is_label", False)
+        if not isinstance(is_label, bool):
+            raise DataError(f"{where}: is_label must be true or false, got {is_label!r}")
         try:
             cols.append(ColumnSchema(name, kind, tuple(categories), is_label))
         except ConfigError as exc:  # unknown kind; unsorted, repeated or missing-token categories

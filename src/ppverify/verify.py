@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, PPVerifyError, json_field, read_json
+from .errors import ConfigError, DataError, PPVerifyError, json_field, json_number, read_json
 from .explain import LimeConfig, lime_explain, model_probe, shap_explain
 from .models import Predictor, TrainConfig, model_from_payload, train
 from .preprocess import PipelineLabel
@@ -336,13 +336,6 @@ VERIFIER_FORMAT = "ppverify-verifier"
 VERIFIER_VERSION = 2
 
 
-def _number(value) -> float:
-    """`value` as a float; TypeError unless it is a JSON number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
 def _threshold_from_payload(payload, task: str, path: str) -> ThresholdModel:
     where = f"{path}: threshold payload"
     granularity, tau, centroids = (
@@ -354,8 +347,8 @@ def _threshold_from_payload(payload, task: str, path: str) -> ThresholdModel:
         t = ThresholdModel(
             task=task,
             granularity=granularity,
-            tau=None if tau is None else _number(tau),
-            centroids={int(k): _number(v) for k, v in centroids.items()} if centroids else None,
+            tau=None if tau is None else json_number(tau),
+            centroids={int(k): json_number(v) for k, v in centroids.items()} if centroids else None,
         )
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{where} holds a malformed entry ({exc!r})") from None

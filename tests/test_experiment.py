@@ -490,6 +490,35 @@ def test_run_meta_times_each_stage_training_and_other_files_rerun_identically(tm
         assert open(paths[0][key], "rb").read() == open(paths[1][key], "rb").read(), key
 
 
+def test_each_trial_is_its_own_record_and_run_meta_sums_their_stage_times(tmp_path,
+                                                                           monkeypatch):
+    cfg = tiny_config()  # 2 trials
+    records, run_trial = [], experiment._run_trial
+
+    def kept(*args):
+        records.append(run_trial(*args))
+        return records[-1]
+
+    monkeypatch.setattr(experiment, "_run_trial", kept)
+    report = run_experiment(cfg)
+    monkeypatch.undo()
+    stages = json.loads(open(emit_report(report, str(tmp_path))["run_meta"]).read())["stages"]
+    assert stages == {
+        stage: round(sum(r.stages.get(stage, 0.0) for r in records), 3) for stage in stages
+    }
+    assert stages == report.runtime["stages"]
+    # trial 1 first: a trial reads nothing an earlier call left behind
+    pipelines = enumerate_pipelines(cfg.enumeration_mode)
+    alone = {trial: experiment._run_trial(cfg, None, pipelines, trial) for trial in (1, 0)}
+    for trial, record in alone.items():
+        assert record.rows == [r for r in report.rows if r.trial == trial]
+        assert record.attack_rows == [r for r in report.attack_rows if r.trial == trial]
+        assert set(record.stages) == set(stages)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.stages = {}
+    assert alone[0].stages is not alone[1].stages
+
+
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     architecture=st.sampled_from(["logreg", "dtree", "rforest"]),

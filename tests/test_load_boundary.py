@@ -207,12 +207,21 @@ MALFORMED_VERIFIERS = [
      edit("threshold", lambda e: e["payload"]["centroids"].update({"1": True}))),
     ("threshold-tau-an-int-no-float-holds",
      binary_threshold_with_tau(0.125).replace("0.125", "1" + "0" * 400)),
+    # so are the numbers of the ML verifier's model: true used to load as 1.0
+    ("ml-weight-true",
+     edit("ml", lambda e: e["payload"]["params"]["weights"][0].__setitem__(0, True))),
 ]
 
 # A logreg model file over the feature f0
 MODEL = ('{"format": "ppverify-model", "version": 1, "architecture": "logreg", '
          '"feature_names": ["f0"], "class_values": [0.0, 1.0], '
          '"params": {"weights": [[0.25, -0.25]], "bias": [0.0, 0.0]}}')
+# A dtree model file over the feature f0: one split at 2.0
+DTREE_MODEL = ('{"format": "ppverify-model", "version": 1, "architecture": "dtree", '
+               '"feature_names": ["f0"], "class_values": [0.0, 1.0], '
+               '"params": {"feature": [0, -1, -1], "threshold": [2.0, 0.0, 0.0], '
+               '"left": [1, -1, -1], "right": [2, -1, -1], '
+               '"dist": [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]}}')
 
 LABEL_ENTRY = {"name": "label", "kind": "numeric-discrete", "is_label": True}
 MALFORMED_SIDECARS = [
@@ -231,6 +240,12 @@ MALFORMED_SIDECARS = [
      json.dumps([{"name": "f0", "kind": "categorical", "categories": ["?", "a"]}, LABEL_ENTRY])),
     ("categories-empty-string",
      json.dumps([{"name": "f0", "kind": "categorical", "categories": ["", "a"]}, LABEL_ENTRY])),
+    # is_label is a JSON boolean: "no" used to make f0 the label, and 0 to read as false
+    ("is-label-a-string", json.dumps([
+        {"name": "f0", "kind": "numeric-continuous", "is_label": "no"},
+        {"name": "label", "kind": "numeric-discrete", "is_label": 0}])),
+    ("is-label-zero",
+     json.dumps([{"name": "f0", "kind": "numeric-continuous", "is_label": 0}, LABEL_ENTRY])),
 ]
 
 CASES = (
@@ -247,6 +262,15 @@ CASES = (
         pytest.param("train", '{"learning_rate": 1%s}' % ("0" * 400), 2,
                      id="train-config-learning-rate-an-int-no-float-holds"),
         pytest.param("respond", MODEL.replace("0.25", "1e400"), 3, id="model-weight-1e400"),
+        # model files hold JSON numbers, and node indices are integers
+        pytest.param("respond", MODEL.replace("[[0.25", '[["0.25"'), 3, id="model-weight-a-string"),
+        pytest.param("respond", MODEL.replace('"bias": [0.0', '"bias": [true'), 3,
+                     id="model-bias-true"),
+        pytest.param("respond", MODEL.replace("[0.0, 1.0]", "[true, 1.0]"), 3,
+                     id="model-class-values-true"),
+        pytest.param("respond", DTREE_MODEL.replace('"left": [1,', '"left": [1.6,'), 3,
+                     id="model-dtree-left-a-fraction"),
+        pytest.param("respond", "[" * 100_000 + "]" * 100_000, 3, id="model-nested-too-deep"),
         pytest.param("experiment", json.dumps({"trails": 2}), 2,
                      id="experiment-config-unknown-key"),
         pytest.param("experiment", json.dumps({"synthetic": {"row": 60}}), 2,
