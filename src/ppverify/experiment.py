@@ -394,10 +394,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     pipelines = enumerate_pipelines(cfg.enumeration_mode)
     source = _load_source(cfg)
     records = [_run_trial(cfg, source, pipelines, trial) for trial in range(cfg.trials)]
-    stages = dict.fromkeys(stage for r in records for stage in r.stages)
+    names = dict.fromkeys(stage for r in records for stage in r.stages)
     runtime = {
         "started_at": started,
-        "stages": {k: round(sum(r.stages.get(k, 0.0) for r in records), 3) for k in stages},
+        "stages": {k: round(sum(r.stages.get(k, 0.0) for r in records), 3) for k in names},
         "total_seconds": round(time.perf_counter() - t0, 3),
     }
     rows = [row for r in records for row in r.rows]
