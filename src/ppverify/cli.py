@@ -101,6 +101,8 @@ def cmd_privatize(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    if args.test and not args.test_output:
+        raise ConfigError("--test-output is required when --test is given")
     d = _load_dataset(args.input, args.schema)
     pipeline = Pipeline.from_bitmask(args.pipeline)
     match = [
@@ -116,8 +118,6 @@ def cmd_preprocess(args) -> int:
     tr, te = apply_pipeline(d, test, pipeline, args.seed)
     write_csv(tr, args.output)
     if te is not None:
-        if not args.test_output:
-            raise ConfigError("--test-output is required when --test is given")
         write_csv(te, args.test_output)
     print(
         f"applied {pipeline.describe()} (class {match[0].class_id}): "

@@ -15,7 +15,9 @@ reproduces results.csv byte for byte.
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -314,7 +316,8 @@ def _attack_groups(cfg: ExperimentConfig, train_d: Dataset, test_d: Dataset, tri
 def _score_verifiers(cfg, released, target, queries, pipelines, bg_idx, trial, eps_index,
                      record) -> dict:
     """Accuracy per method of the two verifiers fit on the zoo of models
-    trained on `released`, classifying each target model."""
+    trained on `released`, classifying each target model. A verdict is
+    right when its class is the target pipeline's training class."""
     labels = [label for _, label in pipelines]
     with record.timed("verifier_models"):
         zoo = _pipeline_responses(
@@ -326,16 +329,14 @@ def _score_verifiers(cfg, released, target, queries, pipelines, bg_idx, trial, e
         v_ml = fit_ml_verifier(labeled, TrainConfig(cfg.verifier_architecture, seed=seed))
         reference = zoo[0]
         v_t = fit_threshold_verifier(reference, labeled, cfg.threshold_granularity)
-        label_table = {label.class_id: label for label in labels}
-        key = "is_proper" if cfg.task == "binary" else "class_id"
         correct = dict.fromkeys(METHODS, 0)
         for label in labels:
             responses = target[label.class_id]
             for method, verdict in (
-                ("ml", classify(v_ml, responses, label_table=label_table)),
-                ("threshold", classify(v_t, responses, reference, label_table=label_table)),
+                ("ml", classify(v_ml, responses)),
+                ("threshold", classify(v_t, responses, reference)),
             ):
-                correct[method] += getattr(verdict.predicted_label, key) == getattr(label, key)
+                correct[method] += verdict.predicted_label.class_id == labeled.training_class(label)
     return {m: correct[m] / len(labels) for m in METHODS}
 
 
@@ -438,15 +439,18 @@ def _summary_row(eps, method, vals):
 
 
 def _csv_text(header: str, rows) -> str:
-    """CSV text of `header` and `rows`: None and NaN cells are left empty,
-    other floats are written by repr."""
+    """CSV text of `header` and `rows`, one line each: None and NaN cells are
+    left empty, other floats are written by repr, and a cell holding a comma,
+    a quote or a line break is quoted by CSV rules."""
 
-    def cell(v):
-        if v is None or (isinstance(v, float) and math.isnan(v)):
-            return ""
-        return repr(v) if isinstance(v, float) else str(v)
+    def cell(v):  # the csv module writes None as an empty cell and a float by repr
+        return "" if isinstance(v, float) and math.isnan(v) else v
 
-    return "\n".join([header] + [",".join(map(cell, row)) for row in rows]) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(map(cell, row) for row in rows)
+    return out.getvalue()
 
 
 def emit_report(report: ExperimentReport, out_dir: str) -> dict:

@@ -718,6 +718,9 @@ def model_from_payload(payload: dict) -> Predictor:
     classes = _array(json_field(payload, "class_values", _TOP), "class_values")
     if classes.ndim != 1:
         raise DataError("model file: class_values must be a flat list")
+    if (np.diff(classes) <= 0).any():
+        raise DataError(f"model file: class_values {classes.tolist()} are not distinct and "
+                        "increasing")
     params = json_field(payload, "params", _TOP)
     d, k = len(names), classes.size
     if arch == "logreg":

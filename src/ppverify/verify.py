@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,6 +72,8 @@ class LabeledResponseSet:
                 raise DataError(f"model tag {responses.tag!r} carries conflicting labels")
 
     def training_class(self, label: PipelineLabel) -> int:
+        """The class a verdict names for `label`'s pipeline: 0 (proper) or 1
+        (improper) in a binary task, the pipeline class id in a multi one."""
         if self.task == "binary":
             return 0 if label.is_proper else 1
         return label.class_id
@@ -257,74 +260,61 @@ def fit_threshold_verifier(
         dists += d
         classes += [others.training_class(label)] * len(d)
     dists, classes = np.array(dists), np.array(classes)
-    binary = others.task == "binary"
+    if others.task == "binary":
+        return ThresholdModel(others.task, granularity, tau=float(dists.mean()), centroids=None)
     centroids = {int(c): float(dists[classes == c].mean()) for c in np.unique(classes)}
-    return ThresholdModel(
-        task=others.task,
-        granularity=granularity,
-        tau=float(dists.mean()) if binary else None,
-        centroids=None if binary else centroids,
-    )
+    return ThresholdModel(others.task, granularity, tau=None, centroids=centroids)
 
 
 # ---------------------------------------------------------------------------
 # Classification
 
 
-def _vote(task: str, votes: dict) -> int:
-    """Majority class; binary ties go to improper, multi ties to the lowest id."""
-    if task == "binary":
-        return 1 if votes.get(1, 0) >= votes.get(0, 0) else 0
-    top = max(votes.values())
-    return min(c for c, n in votes.items() if n == top)
-
-
-def _threshold_class(t: ThresholdModel, d: float) -> int:
-    """Binary: improper when d > tau. Multi: the nearest centroid, ties to the lowest id."""
+def _threshold_classes(t: ThresholdModel, dists: list) -> list:
+    """The class of each distance in `dists`. Binary: improper where d > tau.
+    Multi: the nearest centroid, ties to the lowest id."""
     if t.task == "binary":
-        return 1 if d > t.tau else 0
-    return int(min(sorted(t.centroids), key=lambda c: (abs(d - t.centroids[c]), c)))
+        return [1 if d > t.tau else 0 for d in dists]
+    return [min(t.centroids, key=lambda c: (abs(d - t.centroids[c]), c)) for d in dists]
 
 
 def classify(
     verifier,
     target: Responses,
     reference: Responses | None = None,
-    label_table=None,
 ) -> Verdict:
     """Aggregate per-query classifications of a target model into one verdict.
 
     An MLVerifier classifies each response vector directly. A ThresholdModel
     needs the fitted reference responses again and classifies by distance
-    (see `_threshold_class`). `label_table`, a class_id -> PipelineLabel
-    dict, names the verdict's pipeline; without it, the verdict carries a
-    bare label. A target that names its columns must name them as the
-    reference does, or as the ML verifier's features are named.
+    (see `_threshold_classes`). The class with the most votes wins: a binary
+    tie goes to improper (1), a multi-class tie to the lowest id. The verdict
+    carries the winner's bare label. A target that names its columns must
+    name them as the reference does, or as the ML verifier's features are
+    named.
     """
     if isinstance(verifier, ThresholdModel):
         if reference is None:
             raise ConfigError("the threshold verifier needs the reference responses")
         dists = _distances(reference, target, verifier.granularity)
-        classes = [_threshold_class(verifier, d) for d in dists]
+        classes = _threshold_classes(verifier, dists)
     elif isinstance(verifier, MLVerifier):
         _check_columns(verifier.model.feature_names, "the ml verifier", target)
         dim = len(verifier.model.feature_names)
         if target.matrix.shape[1] != dim:
             raise DataError(f"the ml verifier takes response vectors of {dim} entries")
         P = verifier.model.predict_proba(target.matrix)
-        classes = [int(verifier.model.class_values[int(np.argmax(row))]) for row in P]
+        classes = verifier.model.class_values[P.argmax(axis=1)].astype(int).tolist()
     else:
         raise ConfigError(f"unsupported verifier type {type(verifier).__name__}")
 
-    votes: dict = {}
-    for cls in classes:
-        votes[cls] = votes.get(cls, 0) + 1
-    winner = _vote(verifier.task, votes)
+    votes = Counter(classes)
+    winner = min(votes, key=lambda c: (-votes[c], -c if verifier.task == "binary" else c))
     return Verdict(
         task=verifier.task,
-        predicted_label=(label_table or {}).get(winner) or bare_label(winner),
+        predicted_label=bare_label(winner),
         vote_counts=dict(sorted(votes.items())),
-        confidence=votes.get(winner, 0) / len(classes),
+        confidence=votes[winner] / len(classes),
     )
 
 

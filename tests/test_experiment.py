@@ -22,7 +22,7 @@ from ppverify.experiment import (
 )
 from ppverify.preprocess import DROP_OUTLIERS, apply_pipeline, enumerate_pipelines
 from ppverify.seeding import derive_seed
-from ppverify.tabular import SyntheticSpec, load_csv, split
+from ppverify.tabular import SyntheticSpec, load_csv, read_rows, split
 
 
 def tiny_config(**overrides):
@@ -476,6 +476,21 @@ def test_a_failed_stage_reports_the_first_error_in_pipeline_order(tmp_path):
                       epsilon_grid=(math.inf,), lime_num_samples=3, attack=False)
     report = run_experiment(cfg)
     assert [r.status for r in report.rows] == ["error: num_samples must be at least 4, got 3"] * 2
+
+
+def test_results_csv_quotes_a_status_that_holds_a_comma(tmp_path):
+    # the config above fails with an error that holds a comma; results.csv
+    # once wrote it bare, six fields under a five-field header
+    rng = np.random.default_rng(5)
+    rows = [(0.0, 0.0, 0)] * 60 + [(float(a), float(b), 0) for a, b in rng.uniform(-2, 2, (30, 2))]
+    rows += [(4.0, 0.5, 1), (4.1, -0.5, 1), (4.2, 0.1, 1)]
+    cfg = tiny_config(source="csv", csv_path=_write_csv(tmp_path / "dups.csv", rows),
+                      synthetic=None, trials=1, master_seed=7, epsilon_grid=(math.inf,),
+                      lime_num_samples=3, attack=False)
+    header, body = read_rows(emit_report(run_experiment(cfg), str(tmp_path / "out"))["results"])
+    assert header == ["epsilon", "trial", "method", "accuracy", "status"]
+    assert body == [["inf", "0", method, "", "error: num_samples must be at least 4, got 3"]
+                    for method in ("ml", "threshold")]
 
 
 def test_run_meta_times_each_stage_training_and_other_files_rerun_identically(tmp_path):

@@ -187,6 +187,8 @@ MALFORMED_VERIFIERS = [
     ("no-payload", edit("ml", lambda e: e.pop("payload"))),
     ("ml-bad-model", edit("ml", lambda e: e["payload"]["params"].pop("weights"))),
     ("ml-not-a-class-id", edit("ml", lambda e: e["payload"].update(class_values=[0.0, 2.5]))),
+    # a model's classes are distinct and increasing, as training writes them
+    ("ml-classes-repeated", edit("ml", lambda e: e["payload"].update(class_values=[1.0, 1.0]))),
     ("threshold-no-tau", edit("threshold", lambda e: e["payload"].pop("tau"))),
     ("threshold-binary-without-tau", edit("threshold", drop_task_and_tau)),
     ("threshold-bad-granularity",
@@ -268,6 +270,8 @@ CASES = (
                      id="model-bias-true"),
         pytest.param("respond", MODEL.replace("[0.0, 1.0]", "[true, 1.0]"), 3,
                      id="model-class-values-true"),
+        pytest.param("respond", MODEL.replace("[0.0, 1.0]", "[1.0, 1.0]"), 3,
+                     id="model-class-values-repeated"),
         pytest.param("respond", DTREE_MODEL.replace('"left": [1,', '"left": [1.6,'), 3,
                      id="model-dtree-left-a-fraction"),
         pytest.param("respond", "[" * 100_000 + "]" * 100_000, 3, id="model-nested-too-deep"),

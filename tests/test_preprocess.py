@@ -194,6 +194,19 @@ def test_cli_preprocess_rejects_a_test_set_with_a_renamed_feature(tmp_path, caps
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_cli_preprocess_with_a_test_set_but_no_test_output_writes_nothing(tmp_path, capsys):
+    train = build_dataset([[1.0, 2.0, 0.0], [2.0, 1.0, 1.0], [3.0, 5.0, 0.0], [4.0, 3.0, 1.0]])
+    write_csv(train, str(tmp_path / "train.csv"))
+    write_csv(train, str(tmp_path / "test.csv"))
+    capsys.readouterr()
+    argv = ["preprocess", "--input", str(tmp_path / "train.csv"), "--pipeline", "15",
+            "--test", str(tmp_path / "test.csv"), "--output", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == (
+        "config error: --test-output is required when --test is given")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_oversample_balances_to_majority_count():
     vals = [[float(i), 0.0] for i in range(8)] + [[9.0, 1.0], [10.0, 1.0]]
     d = build_dataset(vals)

@@ -15,6 +15,8 @@ from ppverify.preprocess import PipelineLabel
 from ppverify.verify import (
     LabeledResponseSet,
     Responses,
+    ThresholdModel,
+    bare_label,
     build_responses,
     classify,
     cosine_distance,
@@ -290,6 +292,40 @@ def test_binary_tie_votes_fail_closed():
     # one query near, one far: 1-1 tie resolves to improper
     verdict = classify(t, make_responses([[1.0, 0.0], [0.0, 1.0]]), reference=reference)
     assert not verdict.predicted_label.is_proper
+
+
+def test_multi_threshold_ties_go_to_the_lowest_class_id():
+    reference = make_responses([[1.0, 0.0]] * 4, tag="ref")
+    t = ThresholdModel("multi", "per_query", tau=None, centroids={3: 1.0, 1: 0.0})
+    # two queries at distance 1 (class 3) before two at distance 0 (class 1): a 2-2 tie
+    verdict = classify(t, make_responses([[0.0, 1.0]] * 2 + [[1.0, 0.0]] * 2),
+                       reference=reference)
+    assert verdict.vote_counts == {1: 2, 3: 2}
+    assert verdict.predicted_label.class_id == 1
+    assert verdict.confidence == 0.5
+    # a distance midway between two centroids goes to the lower id too
+    t = ThresholdModel("multi", "per_query", tau=None, centroids={4: 1.5, 2: 0.5})
+    assert classify(t, make_responses([[0.0, 1.0]] * 4), reference=reference).vote_counts == {2: 4}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("task", ["binary", "multi"])
+def test_an_ml_verdict_is_the_majority_of_row_by_row_argmax(task, seed):
+    rng = np.random.default_rng(seed)
+    classes = (0, 1) if task == "binary" else (0, 1, 2, 3)
+    data = labeled_set({c: (rng.normal(size=(10, 3)) + 0.6 * c).tolist() for c in classes}, task)
+    verifier = fit_ml_verifier(data, TrainConfig(architecture="logreg", seed=seed, iterations=30))
+    target = make_responses(rng.normal(size=(9, 3)) + 0.9)
+    P = verifier.model.predict_proba(target.matrix)
+    per_row = [int(verifier.model.class_values[int(np.argmax(row))]) for row in P]
+    votes = {c: per_row.count(c) for c in sorted(set(per_row))}
+    tied = [c for c, n in votes.items() if n == max(votes.values())]
+    # a binary tie fails closed (improper, 1); a multi-class tie goes to the lowest id
+    winner = max(tied) if task == "binary" else min(tied)
+    verdict = classify(verifier, target)
+    assert verdict.vote_counts == votes
+    assert verdict.predicted_label == bare_label(winner)
+    assert verdict.confidence == votes[winner] / len(per_row)
 
 
 def test_verdict_vote_counts_sum_to_query_count():
