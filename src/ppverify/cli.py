@@ -8,6 +8,7 @@ seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -230,7 +231,7 @@ def cmd_experiment(args) -> int:
     env_seed = os.environ.get("PPV_SEED")
     if env_seed is not None:
         try:
-            cfg.master_seed = int(env_seed)
+            cfg = dataclasses.replace(cfg, master_seed=int(env_seed))
         except ValueError:
             raise ConfigError(f"PPV_SEED must be an integer, got {env_seed!r}") from None
     report = run_experiment(cfg)

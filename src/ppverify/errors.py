@@ -39,6 +39,19 @@ def read_json(path: str, error_cls=DataError):
             raise error_cls(f"{path}: not valid JSON ({exc})") from None
 
 
+def write_json(path: str, value, indent=None) -> None:
+    """Write `value` to `path` as JSON and a newline. DataError, and nothing
+    written, when `value` holds NaN, Infinity or -Infinity, which
+    `read_json` refuses."""
+    try:
+        text = json.dumps(value, indent=indent, allow_nan=False)
+    except ValueError:
+        raise DataError(f"{path}: not written, as it would hold NaN or Infinity, "
+                        "which JSON lacks") from None
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 def _no_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 

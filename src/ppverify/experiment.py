@@ -62,9 +62,10 @@ METHODS = ("ml", "threshold")
 DEFAULT_EPSILON_GRID = (0.1, 1.0, 10.0, 1000.0, math.inf)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one experiment; serializes to/from JSON."""
+    """Full description of one experiment; serializes to/from JSON. It
+    checks itself when built and cannot be changed after."""
 
     source: str = "synthetic"
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
@@ -90,7 +91,7 @@ class ExperimentConfig:
     attack_group_size: int = 200
     attack_fpr: float = 0.05
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_field_types(self)
         if self.source not in SOURCES:
             raise ConfigError(f"source must be one of {SOURCES}, got {self.source!r}")
@@ -146,9 +147,7 @@ class ExperimentConfig:
             kwargs["epsilon_grid"] = tuple(
                 PrivacyBudget.parse(str(e)).epsilon for e in kwargs["epsilon_grid"]
             )
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -276,7 +275,7 @@ def _pipeline_responses(cfg, data, queries, pipelines, bg_idx, stage, trial, rec
         train_cfg = TrainConfig(architecture=cfg.architecture, seed=derive_seed(*parts, "train"))
         try:
             tr, te = apply_pipeline(data, queries, pipe, derive_seed(*parts, "pipe"))
-            training_arrays(tr, train_cfg)
+            training_arrays(tr)
         except PPVerifyError as exc:
             failure = exc
             break
@@ -389,7 +388,6 @@ def _run_trial(cfg: ExperimentConfig, source, pipelines, trial: int) -> TrialRec
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the full protocol and return an in-memory report. Each stage
     time in `runtime` is the sum of the trials' own times for that stage."""
-    cfg.validate()
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     t0 = time.perf_counter()
     pipelines = enumerate_pipelines(cfg.enumeration_mode)

@@ -22,10 +22,11 @@ from .tabular import Dataset, KIND_CONTINUOUS
 _CHUNK_ROWS = 64  # case/control rows per broadcast block
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackConfig:
     """Case group (true members of the source data) and control group
-    (same distribution, not in the source data)."""
+    (same distribution, not in the source data). It checks itself when
+    built and cannot be changed after."""
 
     case_group: Dataset
     control_group: Dataset

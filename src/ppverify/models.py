@@ -10,14 +10,14 @@ versioned JSON.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_field_types, json_field, json_number, read_json
+from .errors import (ConfigError, DataError, check_field_types, json_field, json_number,
+                     read_json, write_json)
 from .seeding import derive_seed
 from .tabular import KIND_CATEGORICAL, Dataset
 
@@ -27,9 +27,10 @@ MODEL_FORMAT = "ppverify-model"
 MODEL_FORMAT_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for all three architectures; unused fields are ignored.
+    A TrainConfig checks itself when built and cannot be changed after.
 
     `n_features` is the per-tree feature subsample size for forests; None
     means round(sqrt(feature count)).
@@ -48,7 +49,7 @@ class TrainConfig:
     n_features: int | None = None
     bootstrap: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_field_types(self)
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
@@ -541,13 +542,12 @@ def _fit_trees(X, y_idx, feature_names, class_values, cfg: TrainConfig):
 # Entry points
 
 
-def training_arrays(train: Dataset, cfg: TrainConfig):
+def training_arrays(train: Dataset):
     """(X, class index per row, class values) of a valid training problem.
 
-    Raises ConfigError for a bad `cfg` and DataError unless `train` is
-    encoded, complete, finite, non-empty and holds at least two classes.
+    Raises DataError unless `train` is encoded, complete, finite, non-empty
+    and holds at least two classes.
     """
-    cfg.validate()
     if any(c.kind == KIND_CATEGORICAL for c in train.schema):
         raise DataError("training data still has categorical columns; encode them first")
     if np.isnan(train.values).any():
@@ -576,8 +576,8 @@ def train_many(datasets, cfgs) -> list:
     bit for bit.
     """
     problems = []  # (X, y_idx, feature_names, class_values) per pair
-    for ds, cfg in zip(datasets, cfgs, strict=True):
-        X, y_idx, classes = training_arrays(ds, cfg)
+    for ds, _ in zip(datasets, cfgs, strict=True):
+        X, y_idx, classes = training_arrays(ds)
         problems.append((X, y_idx, ds.feature_names, classes))
     out: list = [None] * len(problems)
     loops, open_loop = [], {}  # lockstep batches of pair indices; the open one per group
@@ -626,9 +626,7 @@ def predict_batch(m: Predictor, queries: Dataset):
 
 
 def save_model(m: Predictor, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(m.to_payload(), fh)
-        fh.write("\n")
+    write_json(path, m.to_payload())
 
 
 def _array(value, what: str, integral: bool = False) -> np.ndarray:
@@ -718,9 +716,9 @@ def model_from_payload(payload: dict) -> Predictor:
     classes = _array(json_field(payload, "class_values", _TOP), "class_values")
     if classes.ndim != 1:
         raise DataError("model file: class_values must be a flat list")
-    if (np.diff(classes) <= 0).any():
-        raise DataError(f"model file: class_values {classes.tolist()} are not distinct and "
-                        "increasing")
+    if classes.size < 2 or (np.diff(classes) <= 0).any():
+        raise DataError(f"model file: class_values {classes.tolist()} are not two or more "
+                        "distinct, increasing values")
     params = json_field(payload, "params", _TOP)
     d, k = len(names), classes.size
     if arch == "logreg":

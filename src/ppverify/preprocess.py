@@ -138,6 +138,18 @@ def drop_duplicates(d: Dataset) -> Dataset:
     return d.take(keep)
 
 
+def _column_moments(d: Dataset) -> dict:
+    """Column index -> (mean, population stddev) over the observed cells of
+    each non-label numeric column of `d`; (0.0, 0.0) for a column with none."""
+    stats = {}
+    for j, col in enumerate(d.schema):
+        if col.is_label or col.kind == KIND_CATEGORICAL:
+            continue
+        observed = d.column(j)[~np.isnan(d.column(j))]
+        stats[j] = (float(observed.mean()), float(observed.std())) if observed.size else (0.0, 0.0)
+    return stats
+
+
 def drop_outliers(d: Dataset) -> Dataset:
     """Remove rows with a non-label numeric cell beyond 3 sigma of its column.
 
@@ -146,19 +158,12 @@ def drop_outliers(d: Dataset) -> Dataset:
     count as outliers.
     """
     bad = np.zeros(d.n_rows, dtype=bool)
-    for j, col in enumerate(d.schema):
-        if col.is_label or col.kind == KIND_CATEGORICAL:
-            continue
-        column = d.column(j)
-        observed = ~np.isnan(column)
-        if not observed.any():
-            continue
-        mean = column[observed].mean()
-        sd = column[observed].std()
+    for j, (mean, sd) in _column_moments(d).items():
         if sd == 0:
             continue
+        column = d.column(j)
         with np.errstate(invalid="ignore"):
-            bad |= observed & (np.abs(column - mean) > OUTLIER_SIGMA * sd)
+            bad |= ~np.isnan(column) & (np.abs(column - mean) > OUTLIER_SIGMA * sd)
     return d.take(np.flatnonzero(~bad))
 
 
@@ -171,12 +176,7 @@ def standardize(train: Dataset, test: Dataset | None = None) -> tuple[Dataset, D
     no longer codes. `test` must name its columns as train does at every
     scaled position.
     """
-    stats = {}  # column index -> (mean, stddev) over train's observed cells
-    for j, col in enumerate(train.schema):
-        if col.is_label or col.kind == KIND_CATEGORICAL:
-            continue
-        observed = train.column(j)[~np.isnan(train.column(j))]
-        stats[j] = (float(observed.mean()), float(observed.std())) if observed.size else (0.0, 0.0)
+    stats = _column_moments(train)
     names = [train.schema[j].name for j in stats]
     if test is not None and names != [test.schema[j].name for j in stats if j < test.n_cols]:
         raise DataError(f"test columns do not match the standardized training columns {names}")

@@ -10,13 +10,12 @@ returns a new instance.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_field_types, json_field, read_json
+from .errors import ConfigError, DataError, check_field_types, json_field, read_json, write_json
 
 KIND_CONTINUOUS = "numeric-continuous"
 KIND_DISCRETE = "numeric-discrete"
@@ -300,9 +299,7 @@ def write_schema_sidecar(schema, path: str) -> None:
         if col.kind == KIND_CATEGORICAL and col.categories:
             entry["categories"] = list(col.categories)
         payload.append(entry)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload, indent=2)
 
 
 def load_schema_sidecar(path: str):

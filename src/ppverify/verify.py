@@ -12,13 +12,13 @@ against row. Both emit a majority-vote verdict.
 from __future__ import annotations
 
 import csv
-import json
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, PPVerifyError, json_field, json_number, read_json
+from .errors import (ConfigError, DataError, PPVerifyError, json_field, json_number,
+                     read_json, write_json)
 from .explain import LimeConfig, lime_explain, model_probe, shap_explain
 from .models import Predictor, TrainConfig, model_from_payload, train
 from .preprocess import PipelineLabel
@@ -365,9 +365,7 @@ def save_verifier(v, path: str) -> None:
         "task": v.task,
         "payload": payload,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(envelope, fh)
-        fh.write("\n")
+    write_json(path, envelope)
 
 
 def load_verifier(path: str):
@@ -389,7 +387,7 @@ def load_verifier(path: str):
     model = model_from_payload(payload)
     ids = model.class_values
     whole = np.isfinite(ids) & (ids >= 0) & (ids == np.floor(ids))
-    if not ids.size or not whole.all() or (task == "binary" and (ids > 1).any()):
+    if not whole.all() or (task == "binary" and (ids > 1).any()):
         raise DataError(f"{path}: classes {ids.tolist()} are not {task} verdict classes")
     return MLVerifier(model, task)
 

@@ -10,10 +10,12 @@ import json
 import numpy as np
 import pytest
 
+from conftest import build_dataset
 from ppverify.cli import main
 from ppverify.errors import ConfigError, DataError
 from ppverify.experiment import ExperimentConfig
 from ppverify.explain import LimeConfig, ShapConfig
+from ppverify.membership import AttackConfig
 from ppverify.models import TrainConfig
 from ppverify.preprocess import PipelineLabel
 from ppverify.tabular import SyntheticSpec
@@ -167,6 +169,14 @@ def drop_task_and_tau(e):
     e["payload"]["centroids"] = None
 
 
+def cut_to_class_0(e):
+    """The ML verifier of `e` with its model cut to the class 0 column."""
+    model = e["payload"]
+    model["class_values"] = [0.0]
+    model["params"]["weights"] = [row[:1] for row in model["params"]["weights"]]
+    model["params"]["bias"] = model["params"]["bias"][:1]
+
+
 def binary_threshold_with_tau(tau):
     """The threshold GOLDEN as a binary verifier whose file holds `tau`."""
     def change(e):
@@ -189,6 +199,8 @@ MALFORMED_VERIFIERS = [
     ("ml-not-a-class-id", edit("ml", lambda e: e["payload"].update(class_values=[0.0, 2.5]))),
     # a model's classes are distinct and increasing, as training writes them
     ("ml-classes-repeated", edit("ml", lambda e: e["payload"].update(class_values=[1.0, 1.0]))),
+    # and there are at least two: one class used to judge every target proper
+    ("ml-one-class", edit("ml", cut_to_class_0)),
     ("threshold-no-tau", edit("threshold", lambda e: e["payload"].pop("tau"))),
     ("threshold-binary-without-tau", edit("threshold", drop_task_and_tau)),
     ("threshold-bad-granularity",
@@ -272,6 +284,9 @@ CASES = (
                      id="model-class-values-true"),
         pytest.param("respond", MODEL.replace("[0.0, 1.0]", "[1.0, 1.0]"), 3,
                      id="model-class-values-repeated"),
+        # it used to end in "internal error: list index out of range" (exit 4)
+        pytest.param("respond", MODEL.replace("[0.0, 1.0]", "[]").replace("[[0.25, -0.25]]", "[[]]")
+                     .replace("[0.0, 0.0]", "[]"), 3, id="model-class-values-empty"),
         pytest.param("respond", DTREE_MODEL.replace('"left": [1,', '"left": [1.6,'), 3,
                      id="model-dtree-left-a-fraction"),
         pytest.param("respond", "[" * 100_000 + "]" * 100_000, 3, id="model-nested-too-deep"),
@@ -570,6 +585,35 @@ def test_a_non_finite_setting_is_a_config_error(cls, name, value):
             cfg.validate()
 
 
+def attack_config():
+    group = build_dataset([[0.5, 0], [1.5, 1]])
+    return AttackConfig(group, group)
+
+
+# Each settings type: how to build a valid value, and a change its constructor refuses
+SETTINGS_VALUES = {
+    "TrainConfig": (TrainConfig, {"n_trees": 0}),
+    "ExperimentConfig": (lambda: ExperimentConfig.from_dict({}), {"trials": 0}),
+    "AttackConfig": (attack_config, {"target_fpr": 1.0}),
+}
+
+
+@pytest.mark.parametrize("name", SETTINGS_VALUES)
+def test_a_settings_value_cannot_be_changed(name):
+    cfg = SETTINGS_VALUES[name][0]()
+    for f in dataclasses.fields(cfg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+
+
+@pytest.mark.parametrize("name", SETTINGS_VALUES)
+def test_a_changed_copy_of_a_settings_value_is_checked_again(name):
+    # so no settings value exists that its constructor has not checked
+    build, change = SETTINGS_VALUES[name]
+    with pytest.raises(ConfigError):
+        dataclasses.replace(build(), **change)
+
+
 def overflow_model(tmp_path):
     """A logreg model file whose weights overflow every logit to +-inf."""
     path = tmp_path / "overflow.json"
@@ -606,6 +650,22 @@ def test_cli_refuses_a_non_finite_setting_or_response_and_writes_nothing(tmp_pat
     assert main([a.format(**paths) for a in argv] + ["--output", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "data error: "), err
+    assert not out.exists()
+
+
+@OVERFLOW
+def test_cli_train_that_diverges_writes_no_model(tmp_path, capsys):
+    # at learning rate 1e300 the weights become NaN; train used to write them,
+    # and respond then refused the file as not valid JSON
+    data, config, out = tmp_path / "d.csv", tmp_path / "hp.json", tmp_path / "m.json"
+    assert main(["synth", "--rows", "60", "--features", "3", "--missing", "0", "--duplicates",
+                 "0", "--outliers", "0", "--output", str(data)]) == 0
+    config.write_text('{"learning_rate": 1e300, "iterations": 5}', encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--input", str(data), "--config", str(config),
+                 "--output", str(out)]) == 3
+    assert capsys.readouterr().err.strip() == (
+        f"data error: {out}: not written, as it would hold NaN or Infinity, which JSON lacks")
     assert not out.exists()
 
 
